@@ -29,7 +29,6 @@ __all__ = [
     "LogPosterior",
     "build_gp_cc",
     "build_gp_md",
-    "log_posterior",
     "calibrate",
     "CalibrationResult",
 ]
@@ -101,7 +100,7 @@ def build_gp_cc(
     """Emulator of the code: inputs x + theta, outputs the 3 void fractions.
 
     Per calibration case, theta_design_size LHS draws over the prior box are
-    evaluated through the runner; one GP is fit on the pooled rows.
+    evaluated in one runner call; one GP is fit on the pooled rows.
     """
     if theta_design_size < 20:
         raise ValueError("theta_design_size must be >= 20")
@@ -109,18 +108,15 @@ def build_gp_cc(
     case_seeds = np.random.SeedSequence(seed).generate_state(len(cal_cases))
     rows_x, rows_y = [], []
     for case, cseed in zip(cal_cases, case_seeds):
-        design = lhs_sample(theta_design_size, prior.ranges, seed=int(cseed))
-        xv = case.x.as_array()
-        for th in design.points:
-            try:
-                y = np.asarray(runner(case.x, th), dtype=float)
-            except Exception as exc:
-                raise RuntimeError(
-                    f"runner failed on case {case.case_id} at theta={th}"
-                ) from exc
-            rows_x.append(np.concatenate([xv, th]))
-            rows_y.append(y)
-    return gp.fit(np.array(rows_x), np.array(rows_y), restarts=restarts, seed=seed)
+        design = lhs_sample(theta_design_size, prior.ranges, seed=int(cseed)).points
+        x = np.broadcast_to(case.x.as_array(), design.shape)
+        try:
+            y = np.asarray(runner(x, design), dtype=float)
+        except Exception as exc:
+            raise RuntimeError(f"runner failed on case {case.case_id}") from exc
+        rows_x.append(np.hstack([x, design]))
+        rows_y.append(y)
+    return gp.fit(np.vstack(rows_x), np.vstack(rows_y), restarts=restarts, seed=seed)
 
 
 def build_gp_md(
@@ -137,12 +133,10 @@ def build_gp_md(
     if len(val_cases) < BC_DIM + 1:
         raise ValueError(f"need at least {BC_DIM + 1} validation cases")
     theta = (theta_nominal or ParameterVector.ones()).as_array()
-    xs, resid = [], []
-    for case in val_cases:
-        pred = np.asarray(runner(case.x, theta), dtype=float)
-        xs.append(case.x.as_array())
-        resid.append(case.y_exp.as_array() - pred)
-    return gp.fit(np.array(xs), np.array(resid), restarts=restarts, seed=seed)
+    xs = np.array([c.x.as_array() for c in val_cases])
+    y_exp = np.array([c.y_exp.as_array() for c in val_cases])
+    pred = np.asarray(runner(xs, np.broadcast_to(theta, xs.shape)), dtype=float)
+    return gp.fit(xs, y_exp - pred, restarts=restarts, seed=seed)
 
 
 class LogPosterior:
@@ -181,13 +175,6 @@ class LogPosterior:
         return float(
             -0.5 * np.sum(r**2 / v + np.log(2.0 * np.pi * v)) + self.prior.log_density
         )
-
-
-def log_posterior(theta, pair: SurrogatePair, cases, partition: Partition,
-                  mode: CalibrationMode, prior: PriorSpec) -> float:
-    """One-shot convenience wrapper around LogPosterior."""
-    th = theta.as_array() if isinstance(theta, ParameterVector) else theta
-    return LogPosterior(pair, cases, partition, mode, prior)(th)
 
 
 @dataclass

@@ -4,7 +4,12 @@ calibrate (per mode) -> validate -> export.
 Config files are flat ``key = value`` text; unknown keys are errors. Every
 artifact carries the config hash on its first line (``# config_hash=...`` for
 CSVs, a top-level key for the GP JSON files); resume reuses artifacts whose
-hash matches and refuses mismatched ones.
+hash matches and refuses mismatched ones. The hash covers the config and the
+bytes of the dataset and partition files. Artifacts are written to a
+temporary file and renamed into place, so none is ever left half-written.
+
+The forward model is ``synthbench.code_model_arrays``, called through the
+batched runner contract ``runner(X, Theta) -> Y`` (see README).
 """
 
 from __future__ import annotations
@@ -15,6 +20,7 @@ import json
 import os
 import sys
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -90,12 +96,19 @@ class PipelineConfig:
     n_propagate: int
     thin: int
     raw: dict = field(default_factory=dict)
+    input_digests: list[str] = field(default_factory=list)  # SHA-256 of input files
 
     def hash(self) -> str:
         # out_dir excluded so a run can be replayed into a fresh directory
         items = {k: v for k, v in self.raw.items() if k != "out_dir"}
         blob = "\n".join(f"{k} = {items[k]}" for k in sorted(items))
+        blob += "".join(f"\n{d}" for d in self.input_digests)
         return hashlib.sha256(blob.encode()).hexdigest()[:16]
+
+
+def _sha256_file(path) -> str:
+    with open(path, "rb") as fh:
+        return hashlib.sha256(fh.read()).hexdigest()
 
 
 def _parse_bool(v: str) -> bool:
@@ -188,6 +201,9 @@ def load_config(path, out_override=None, seed_override=None) -> PipelineConfig:
         raise ValueError("n_burn must be < n_samples")
     if not os.path.exists(cfg.dataset_path):
         raise ValueError(f"dataset file not found: {cfg.dataset_path}")
+    cfg.input_digests = [
+        _sha256_file(p) for p in (cfg.dataset_path, raw.get("partition_file")) if p
+    ]
     return cfg
 
 
@@ -274,21 +290,24 @@ def _check_resume(path, cfg_hash: str) -> bool:
     )
 
 
-def _write_csv(path, cfg_hash, header, rows) -> None:
-    with open(path, "w") as fh:
-        fh.write(_hash_line(cfg_hash))
-        fh.write(header + "\n")
-        for row in rows:
-            fh.write(row + "\n")
+def _replace(path, write) -> None:
+    """Run write(tmp) on a sibling temporary file, then rename it over path."""
+    tmp = os.path.join(os.path.dirname(path), f".{os.path.basename(path)}.tmp")
+    try:
+        write(tmp)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+
+
+def _write_artifact(path, cfg_hash, lines) -> None:
+    text = _hash_line(cfg_hash) + "".join(f"{line}\n" for line in lines)
+    _replace(path, lambda tmp: Path(tmp).write_text(text))
 
 
 def _save_gp(model, path, cfg_hash) -> None:
-    gp.save_model(model, path)
-    with open(path) as fh:
-        doc = json.load(fh)
-    doc["config_hash"] = cfg_hash
-    with open(path, "w") as fh:
-        json.dump(doc, fh)
+    _replace(path, lambda tmp: gp.save_model(model, tmp, {"config_hash": cfg_hash}))
 
 
 def _try_load_gp(path, cfg_hash):
@@ -301,21 +320,20 @@ def _try_load_gp(path, cfg_hash):
     return gp.load_model(path)
 
 
-def _load_chain(path, n_burn) -> PosteriorChain:
-    draws, lps, acc = [], [], []
-    with open(path) as fh:
-        for line in fh:
-            if line.startswith("#") or line.startswith("step,"):
-                continue
-            toks = line.strip().split(",")
-            draws.append([float(t) for t in toks[1:-2]])
-            lps.append(float(toks[-2]))
-            acc.append(bool(int(toks[-1])))
-    draws = np.array(draws)
-    acc = np.array(acc, dtype=bool)
+def _load_chain(path, n_samples, n_burn) -> PosteriorChain | None:
+    """The chain stored at path, or None when the file does not hold
+    n_samples complete rows (a chain cut short counts as missing)."""
+    with open(path, "rb") as fh:
+        fh.seek(-1, os.SEEK_END)
+        if fh.read(1) != b"\n":
+            return None
+    arr = np.loadtxt(path, delimiter=",", skiprows=2, ndmin=2)  # hash line, header
+    if arr.shape[0] != n_samples:
+        return None
+    acc = arr[:, -1].astype(bool)
     return PosteriorChain(
-        draws=draws,
-        log_posterior_values=np.array(lps),
+        draws=arr[:, 1:-2],
+        log_posterior_values=arr[:, -2],
         accepted=acc,
         acceptance_rate=float(acc[n_burn:].mean()),
         scale_history=[],
@@ -325,14 +343,9 @@ def _load_chain(path, n_burn) -> PosteriorChain:
 
 # ------------------------------------------------------------------- pipeline
 
-def _runner(x: BoundaryConditions, theta: np.ndarray) -> np.ndarray:
-    """The pluggable forward model: the synthetic code stands in for the real one."""
-    return code_model_arrays(x.as_array(), np.asarray(theta, dtype=float))
-
-
-def _screen_runner(x: BoundaryConditions, theta8: np.ndarray) -> np.ndarray:
+def _screen_runner(x: np.ndarray, theta8: np.ndarray) -> np.ndarray:
     # parameters 5-8 are inert dummies, mirroring the screened-out catalog
-    return code_model_arrays(x.as_array(), np.asarray(theta8, dtype=float)[:4])
+    return code_model_arrays(x, theta8[:, :4])
 
 
 def _write_summary_files(mode_dir, cfg_hash, result: CalibrationResult) -> None:
@@ -341,24 +354,24 @@ def _write_summary_files(mode_dir, cfg_hash, result: CalibrationResult) -> None:
         f"{s['p50']:.17g},{s['p97.5']:.17g}"
         for name, s in result.summary.items()
     ]
-    _write_csv(os.path.join(mode_dir, "posterior_summary.csv"), cfg_hash,
-               "parameter,mean,std,p2.5,p50,p97.5", rows)
+    _write_artifact(os.path.join(mode_dir, "posterior_summary.csv"), cfg_hash,
+                    ["parameter,mean,std,p2.5,p50,p97.5", *rows])
     corr_rows = [
         PARAMETER_NAMES[i] + ","
         + ",".join(f"{result.correlation[i, j]:.17g}" for j in range(4))
         for i in range(4)
     ]
-    _write_csv(os.path.join(mode_dir, "posterior_correlation.csv"), cfg_hash,
-               "parameter," + ",".join(PARAMETER_NAMES), corr_rows)
+    _write_artifact(os.path.join(mode_dir, "posterior_correlation.csv"), cfg_hash,
+                    ["parameter," + ",".join(PARAMETER_NAMES), *corr_rows])
     diag = result.diagnostics
-    with open(os.path.join(mode_dir, "diagnostics.txt"), "w") as fh:
-        fh.write(_hash_line(cfg_hash))
-        for j, name in enumerate(PARAMETER_NAMES):
-            fh.write(f"rhat {name} = {diag['rhat'][j]:.6f}\n")
-            fh.write(f"ess {name} = {diag['ess'][j]:.1f}\n")
-        for k, a in enumerate(diag["acceptance"]):
-            fh.write(f"acceptance chain_{k + 1} = {a:.4f}\n")
-        fh.write(f"converged = {result.converged}\n")
+    lines = []
+    for j, name in enumerate(PARAMETER_NAMES):
+        lines.append(f"rhat {name} = {diag['rhat'][j]:.6f}")
+        lines.append(f"ess {name} = {diag['ess'][j]:.1f}")
+    for k, a in enumerate(diag["acceptance"]):
+        lines.append(f"acceptance chain_{k + 1} = {a:.4f}")
+    lines.append(f"converged = {result.converged}")
+    _write_artifact(os.path.join(mode_dir, "diagnostics.txt"), cfg_hash, lines)
 
 
 def _export_mode(mode_dir, cfg_hash, cfg, result, val_cases, summary, prior_val):
@@ -369,16 +382,16 @@ def _export_mode(mode_dir, cfg_hash, cfg, result, val_cases, summary, prior_val)
         sub = chain.post_burn[:keep:cfg.thin]
         for t, th in enumerate(sub):
             rows.append(f"{k + 1},{t}," + ",".join(f"{v:.17g}" for v in th))
-    _write_csv(os.path.join(mode_dir, "posterior_pairs.csv"), cfg_hash,
-               "chain,step," + ",".join(PARAMETER_NAMES), rows)
+    _write_artifact(os.path.join(mode_dir, "posterior_pairs.csv"), cfg_hash,
+                    ["chain,step," + ",".join(PARAMETER_NAMES), *rows])
 
     rows = []
     for j, name in enumerate(PARAMETER_NAMES):
         counts, edges = np.histogram(pooled[:, j], bins=40)
         for b in range(40):
             rows.append(f"{name},{edges[b]:.17g},{edges[b + 1]:.17g},{counts[b]}")
-    _write_csv(os.path.join(mode_dir, "posterior_marginals.csv"), cfg_hash,
-               "parameter,bin_lo,bin_hi,count", rows)
+    _write_artifact(os.path.join(mode_dir, "posterior_marginals.csv"), cfg_hash,
+                    ["parameter,bin_lo,bin_hi,count", *rows])
 
     rows = []
     for i, case in enumerate(val_cases):
@@ -388,15 +401,12 @@ def _export_mode(mode_dir, cfg_hash, cfg, result, val_cases, summary, prior_val)
                 f"{case.case_id},{loc},{y[j] - prior_val[i, j]:.17g},"
                 f"{y[j] - summary.mean[i, j]:.17g}"
             )
-    _write_csv(os.path.join(mode_dir, "validation_errors.csv"), cfg_hash,
-               "case_id,location,error_prior,error_posterior", rows)
+    _write_artifact(os.path.join(mode_dir, "validation_errors.csv"), cfg_hash,
+                    ["case_id,location,error_prior,error_posterior", *rows])
 
 
-def run_pipeline(config_path, out_override=None, seed_override=None,
-                 threads: int = 1, stages=None) -> int:
+def run_pipeline(config_path, out_override=None, seed_override=None, stages=None) -> int:
     """Execute the pipeline; returns 0 on success, 2 on MCMC non-convergence."""
-    if threads < 1:
-        raise ValueError("threads must be >= 1")
     cfg = load_config(config_path, out_override, seed_override)
     cfg_hash = cfg.hash()
     os.makedirs(cfg.out_dir, exist_ok=True)
@@ -418,17 +428,16 @@ def run_pipeline(config_path, out_override=None, seed_override=None,
     val_cases = [by_id[i] for i in sorted(partition.validation_ids)]
     x_fixed = cal_cases[0].x
 
-    with open(os.path.join(cfg.out_dir, "manifest.txt"), "w") as fh:
-        fh.write(_hash_line(cfg_hash))
-        for k in sorted(cfg.raw):
-            fh.write(f"{k} = {cfg.raw[k]}\n")
+    manifest = os.path.join(cfg.out_dir, "manifest.txt")
+    _check_resume(manifest, cfg_hash)  # refuse before overwriting anything
+    _write_artifact(manifest, cfg_hash, [f"{k} = {cfg.raw[k]}" for k in sorted(cfg.raw)])
 
     if cfg.run_screen and "screen" in stages:
         path = os.path.join(cfg.out_dir, "screening.csv")
         if not _check_resume(path, cfg_hash):
             def do_screen():
                 res = oat_screen(
-                    _screen_runner, x_fixed, [SCREEN_RANGE] * 8,
+                    _screen_runner, x_fixed.as_array(), [SCREEN_RANGE] * 8,
                     n=cfg.screen_points, threshold=cfg.screen_threshold,
                     names=SCREEN_NAMES,
                 )
@@ -437,7 +446,7 @@ def run_pipeline(config_path, out_override=None, seed_override=None,
                     sel = int(name in res.selected)
                     for j, loc in enumerate(LOCATION_NAMES):
                         rows.append(f"{name},{loc},{res.variances[i, j]:.17g},{sel}")
-                _write_csv(path, cfg_hash, "parameter,output,variance,selected", rows)
+                _write_artifact(path, cfg_hash, ["parameter,output,variance,selected", *rows])
             stage_wrap("screen", do_screen)
 
     if cfg.run_sobol and "sobol" in stages:
@@ -457,7 +466,7 @@ def run_pipeline(config_path, out_override=None, seed_override=None,
                             f"{name},{loc},{res.first_order[i, j]:.17g},"
                             f"{res.total[i, j]:.17g}"
                         )
-                _write_csv(path, cfg_hash, "parameter,output,first_order,total", rows)
+                _write_artifact(path, cfg_hash, ["parameter,output,first_order,total", *rows])
             stage_wrap("sobol", do_sobol)
 
     exit_code = 0
@@ -468,7 +477,7 @@ def run_pipeline(config_path, out_override=None, seed_override=None,
         gp_cc = stage_wrap("calibrate", lambda: _try_load_gp(gp_cc_path, cfg_hash))
         if gp_cc is None:
             gp_cc = stage_wrap("calibrate", lambda: build_gp_cc(
-                partition, cases, _runner, cfg.theta_design_size, cfg.prior,
+                partition, cases, code_model_arrays, cfg.theta_design_size, cfg.prior,
                 seed=cfg.seed, restarts=cfg.gp_restarts,
             ))
             _save_gp(gp_cc, gp_cc_path, cfg_hash)
@@ -483,7 +492,7 @@ def run_pipeline(config_path, out_override=None, seed_override=None,
                 gp_md = stage_wrap("calibrate", lambda: _try_load_gp(gp_md_path, cfg_hash))
                 if gp_md is None:
                     gp_md = stage_wrap("calibrate", lambda: build_gp_md(
-                        partition, cases, _runner,
+                        partition, cases, code_model_arrays,
                         restarts=cfg.gp_restarts, seed=cfg.seed + 1,
                     ))
                     _save_gp(gp_md, gp_md_path, cfg_hash)
@@ -493,9 +502,9 @@ def run_pipeline(config_path, out_override=None, seed_override=None,
                 os.path.join(mode_dir, f"chain_{k + 1}.csv")
                 for k in range(cfg.chains)
             ]
-            resumable = all(_check_resume(p, cfg_hash) for p in chain_paths)
-            if resumable:
-                chains = [_load_chain(p, cfg.n_burn) for p in chain_paths]
+            chains = [_load_chain(p, cfg.n_samples, cfg.n_burn)
+                      for p in chain_paths if _check_resume(p, cfg_hash)]
+            if len(chains) == cfg.chains and all(c is not None for c in chains):
                 diag = diagnostics(chains)
                 from .calibration import _summarize  # same summary path as a fresh run
                 pooled = np.concatenate([c.post_burn for c in chains])
@@ -515,27 +524,28 @@ def run_pipeline(config_path, out_override=None, seed_override=None,
                     seed=cfg.seed,
                 )
                 result = stage_wrap("calibrate", lambda: calibrate(
-                    cases, partition, _runner, mode, prior=cfg.prior,
+                    cases, partition, code_model_arrays, mode, prior=cfg.prior,
                     theta_design_size=cfg.theta_design_size,
                     mcmc_config=mcmc_cfg, n_chains=cfg.chains, seed=cfg.seed,
                     gp_restarts=cfg.gp_restarts, pair=pair,
                 ))
                 for p, chain in zip(chain_paths, result.chains):
-                    chain.to_csv(p, header_extra=_hash_line(cfg_hash))
+                    _replace(p, lambda tmp: chain.to_csv(
+                        tmp, header_extra=_hash_line(cfg_hash)))
             _write_summary_files(mode_dir, cfg_hash, result)
             results[mode] = result
             if not result.converged:
                 exit_code = 2
 
     if stages & {"validate", "export"}:
-        theta_ones = np.ones(4)
-        prior_val = np.array([_runner(c.x, theta_ones) for c in val_cases])
+        xs_val = np.array([c.x.as_array() for c in val_cases])
+        prior_val = code_model_arrays(xs_val, np.ones_like(xs_val))
         for mode, result in results.items():
             mode_dir = os.path.join(cfg.out_dir, mode.value)
             pooled = result.pooled_draws()
             n_use = min(cfg.n_propagate, pooled.shape[0])
             summary = stage_wrap("validate", lambda: propagate(
-                _runner, val_cases, pooled, n_use=n_use, seed=cfg.seed
+                code_model_arrays, val_cases, pooled, n_use=n_use
             ))
             report = stage_wrap("validate", lambda: rmse_report(
                 summary, prior_val, val_cases
@@ -554,22 +564,19 @@ def run_pipeline(config_path, out_override=None, seed_override=None,
                             f"{summary.mean[i, j]:.17g},{summary.std[i, j]:.17g},"
                             f"{summary.p025[i, j]:.17g},{summary.p975[i, j]:.17g},{cov}"
                         )
-                _write_csv(
+                _write_artifact(
                     os.path.join(mode_dir, "validation_report.csv"), cfg_hash,
-                    "case_id,location,y_exp,y_prior,y_post_mean,y_post_std,"
-                    "p2.5,p97.5,covered",
-                    rows,
+                    ["case_id,location,y_exp,y_prior,y_post_mean,y_post_std,"
+                     "p2.5,p97.5,covered", *rows],
                 )
-                with open(os.path.join(mode_dir, "rmse_summary.txt"), "w") as fh:
-                    fh.write(_hash_line(cfg_hash))
-                    fh.write(f"rmse y_M(theta=1) = {report.rmse_prior:.6f}\n")
-                    fh.write(f"rmse y_M(theta_post) {mode.value} = "
-                             f"{report.rmse_posterior:.6f}\n")
-                    fh.write(f"coverage_95 = {report.coverage_95:.4f}\n")
+                _write_artifact(os.path.join(mode_dir, "rmse_summary.txt"), cfg_hash, [
+                    f"rmse y_M(theta=1) = {report.rmse_prior:.6f}",
+                    f"rmse y_M(theta_post) {mode.value} = {report.rmse_posterior:.6f}",
+                    f"coverage_95 = {report.coverage_95:.4f}",
+                ])
                 if mode is CalibrationMode.WithDiscrepancy and result.pair.gp_md:
                     # supplementary: code + learned discrepancy predictions
-                    xs = np.array([c.x.as_array() for c in val_cases])
-                    md_mean, _ = gp.predict(result.pair.gp_md, xs)
+                    md_mean, _ = gp.predict(result.pair.gp_md, xs_val)
                     rows = []
                     for i, case in enumerate(val_cases):
                         y = case.y_exp.as_array()
@@ -578,9 +585,9 @@ def run_pipeline(config_path, out_override=None, seed_override=None,
                                 f"{case.case_id},{loc},{y[j]:.17g},"
                                 f"{summary.mean[i, j] + md_mean[i, j]:.17g}"
                             )
-                    _write_csv(
+                    _write_artifact(
                         os.path.join(mode_dir, "validation_with_discrepancy.csv"),
-                        cfg_hash, "case_id,location,y_exp,y_post_plus_md", rows,
+                        cfg_hash, ["case_id,location,y_exp,y_post_plus_md", *rows],
                     )
 
             if "export" in stages:
@@ -588,15 +595,15 @@ def run_pipeline(config_path, out_override=None, seed_override=None,
                              summary, prior_val)
 
     if "export" in stages:
+        xs = np.array([c.x.as_array() for c in cases])
+        pred = code_model_arrays(xs, np.ones_like(xs))
         rows = []
-        theta_ones = np.ones(4)
-        for case in cases:
+        for i, case in enumerate(cases):
             y = case.y_exp.as_array()
-            pred = _runner(case.x, theta_ones)
             for j, loc in enumerate(LOCATION_NAMES):
-                rows.append(f"{case.case_id},{loc},{y[j]:.17g},{pred[j]:.17g}")
-        _write_csv(os.path.join(cfg.out_dir, "scatter_prior.csv"), cfg_hash,
-                   "case_id,location,y_exp,y_prior", rows)
+                rows.append(f"{case.case_id},{loc},{y[j]:.17g},{pred[i, j]:.17g}")
+        _write_artifact(os.path.join(cfg.out_dir, "scatter_prior.csv"), cfg_hash,
+                        ["case_id,location,y_exp,y_prior", *rows])
 
     return exit_code
 
@@ -649,7 +656,6 @@ def main(argv=None) -> int:
         p.add_argument("--config", required=True)
         p.add_argument("--out", default=None)
         p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--threads", type=int, default=1)
 
     args = parser.parse_args(argv)
     try:
@@ -657,7 +663,7 @@ def main(argv=None) -> int:
             return _cmd_synth_gen(args)
         return run_pipeline(
             args.config, out_override=args.out, seed_override=args.seed,
-            threads=args.threads, stages=stage_of[args.command],
+            stages=stage_of[args.command],
         )
     except (ValueError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

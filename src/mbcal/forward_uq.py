@@ -29,9 +29,9 @@ class ValidationReport:
     coverage_95: float
 
 
-def propagate(runner, cases, draws: np.ndarray, n_use: int, seed: int = 0) -> PredictiveSummary:
+def propagate(runner, cases, draws: np.ndarray, n_use: int) -> PredictiveSummary:
     """Monte Carlo predictive summary: run evenly thinned posterior draws
-    through the raw model at every case."""
+    through the raw model at every case, one runner call per case."""
     draws = np.atleast_2d(np.asarray(draws, dtype=float))
     if n_use < 1:
         raise ValueError("empty draw set (n_use must be >= 1)")
@@ -40,14 +40,19 @@ def propagate(runner, cases, draws: np.ndarray, n_use: int, seed: int = 0) -> Pr
     idx = np.unique(np.linspace(0, draws.shape[0] - 1, n_use).astype(int))
     thinned = draws[idx]
 
-    n = len(cases)
-    samples = np.empty((n, thinned.shape[0], 3))
+    samples = np.empty((len(cases), thinned.shape[0], 3))
     for i, case in enumerate(cases):
-        for k, th in enumerate(thinned):
-            try:
-                samples[i, k] = np.asarray(runner(case.x, th), dtype=float)
-            except Exception as exc:
-                raise RuntimeError(f"runner failed on case {case.case_id}") from exc
+        x = np.broadcast_to(case.x.as_array(), thinned.shape)
+        try:
+            y = np.asarray(runner(x, thinned), dtype=float)
+        except Exception as exc:
+            raise RuntimeError(f"runner failed on case {case.case_id}") from exc
+        if y.shape != samples.shape[1:]:
+            raise RuntimeError(
+                f"runner returned shape {y.shape} on case {case.case_id}, "
+                f"expected {samples.shape[1:]}"
+            )
+        samples[i] = y
     p = np.percentile(samples, [2.5, 97.5], axis=1)
     return PredictiveSummary(
         case_ids=[c.case_id for c in cases],

@@ -25,7 +25,6 @@ __all__ = [
     "KernelConfig",
     "HyperBounds",
     "GpModel",
-    "Prediction",
     "fit",
     "predict",
     "loo_cv",
@@ -60,12 +59,6 @@ class HyperBounds:
     lengthscale: tuple[float, float] = (1e-2, 1e2)
     signal_variance: tuple[float, float] = (1e-3, 1e3)
     nugget: tuple[float, float] = (NUGGET_FLOOR, NUGGET_CEIL)
-
-
-@dataclass(frozen=True)
-class Prediction:
-    mean: np.ndarray    # (m,)
-    variance: np.ndarray  # (m,), signal only, no measurement noise
 
 
 @dataclass
@@ -343,11 +336,6 @@ def predict(model: GpModel, points: np.ndarray):
     return mean, var
 
 
-def predict_one(model: GpModel, point: np.ndarray) -> Prediction:
-    mean, var = predict(model, np.atleast_2d(point))
-    return Prediction(mean=mean[0], variance=var[0])
-
-
 def loo_cv(model: GpModel) -> list[dict]:
     """Exact leave-one-out metrics per output from the cached factorization.
 
@@ -384,8 +372,9 @@ def _arr(a) -> list:
     return np.asarray(a, dtype=float).tolist()
 
 
-def save_model(model: GpModel, path) -> None:
-    """Serialize to JSON; floats round-trip exactly via repr."""
+def save_model(model: GpModel, path, extra: dict | None = None) -> None:
+    """Serialize to JSON; floats round-trip exactly via repr. Keys of extra
+    are appended to the document (load_model ignores them)."""
     doc = {
         "format": "mbcal-gp-1",
         "x": _arr(model.x),
@@ -403,6 +392,7 @@ def save_model(model: GpModel, path) -> None:
             for kc in model.kernels
         ],
         "lml": _arr(model.lml) if model.lml is not None else None,
+        **(extra or {}),
     }
     with open(path, "w") as fh:
         json.dump(doc, fh)

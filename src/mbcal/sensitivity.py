@@ -54,9 +54,10 @@ class SobolResult:
 def oat_screen(runner, x_fixed, ranges, n: int, threshold: float, names=None) -> ScreeningResult:
     """Sweep each parameter over a uniform grid with the others held at 1.0.
 
-    runner(x_fixed, theta) -> m outputs. Records the population (1/n)
-    variance of every output per parameter; a parameter is selected when its
-    max-over-outputs variance exceeds the threshold.
+    runner(X, Theta) -> (n, m) outputs, with X the boundary conditions
+    x_fixed repeated on every row; one call per parameter sweep. Records the
+    population (1/n) variance of every output per parameter; a parameter is
+    selected when its max-over-outputs variance exceeds the threshold.
     """
     if n < 2:
         raise ValueError("n must be >= 2")
@@ -64,21 +65,19 @@ def oat_screen(runner, x_fixed, ranges, n: int, threshold: float, names=None) ->
         raise ValueError("threshold must be > 0")
     d = len(ranges)
     names = tuple(names) if names else tuple(f"p{i + 1}" for i in range(d))
-    variances = None
+    x = np.broadcast_to(np.asarray(x_fixed, dtype=float), (n, len(x_fixed)))
+    variances = []
     for i in range(d):
-        grid = uniform_grid(n, ranges[i])
-        rows = []
-        for g in grid:
-            theta = np.ones(d)
-            theta[i] = g
-            try:
-                rows.append(np.atleast_1d(np.asarray(runner(x_fixed, theta), float)))
-            except Exception as exc:
-                raise RuntimeError(f"runner failed for parameter {i} ({names[i]})") from exc
-        out = np.array(rows)  # (n, m)
-        if variances is None:
-            variances = np.empty((d, out.shape[1]))
-        variances[i] = out.var(axis=0)  # population variance
+        theta = np.ones((n, d))
+        theta[:, i] = uniform_grid(n, ranges[i])
+        try:
+            out = np.asarray(runner(x, theta), dtype=float)
+        except Exception as exc:
+            raise RuntimeError(f"runner failed for parameter {i} ({names[i]})") from exc
+        if out.ndim != 2 or out.shape[0] != n:
+            raise RuntimeError(f"runner returned shape {out.shape}, expected ({n}, m)")
+        variances.append(out.var(axis=0))  # population variance
+    variances = np.array(variances)
     selected = tuple(
         names[i] for i in range(d) if variances[i].max() > threshold
     )
@@ -89,8 +88,8 @@ def oat_screen(runner, x_fixed, ranges, n: int, threshold: float, names=None) ->
 def sobol_indices(runner, ranges, n_base: int, seed: int) -> SobolResult:
     """First-order (Saltelli 2010) and total (Jansen) Sobol indices.
 
-    runner(theta) -> m outputs, vectorized over an (n, d) matrix or applied
-    row-wise otherwise. Cost: n_base * (d + 2) evaluations.
+    runner(Theta) -> (n, m) or (n,) outputs for an (n, d) matrix of rows.
+    Cost: n_base * (d + 2) evaluations in d + 2 runner calls.
     """
     if n_base < 64 or (n_base & (n_base - 1)) != 0:
         raise ValueError("n_base must be a power of two >= 64")
@@ -102,13 +101,10 @@ def sobol_indices(runner, ranges, n_base: int, seed: int) -> SobolResult:
     b = lo + (hi - lo) * rng.random((n_base, d))
 
     def run(mat):
-        try:
-            out = np.asarray(runner(mat), dtype=float)
-            if out.shape[0] == mat.shape[0]:
-                return np.atleast_2d(out.T).T if out.ndim == 1 else out
-        except Exception:
-            pass
-        return np.array([np.atleast_1d(runner(row)) for row in mat], dtype=float)
+        out = np.asarray(runner(mat), dtype=float)
+        if out.ndim not in (1, 2) or out.shape[0] != mat.shape[0]:
+            raise ValueError(f"runner returned shape {out.shape} for {mat.shape[0]} rows")
+        return out.reshape(mat.shape[0], -1)
 
     fa = run(a)   # (n, m)
     fb = run(b)

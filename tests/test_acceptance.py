@@ -185,9 +185,9 @@ def test_a5_screening():
     from mbcal.domain import BoundaryConditions
 
     def runner8(x, theta8):
-        return code_model_arrays(x.as_array(), np.asarray(theta8)[:4])
+        return code_model_arrays(x, theta8[:, :4])
 
-    res = oat_screen(runner8, BoundaryConditions(0.5, 0.3, 0.5, 0.8),
+    res = oat_screen(runner8, BoundaryConditions(0.5, 0.3, 0.5, 0.8).as_array(),
                      [(0.0, 5.0)] * 8, n=50, threshold=1e-3,
                      names=["P1008", "P1012", "P1022", "P1028",
                             "D1", "D2", "D3", "D4"])

@@ -17,8 +17,7 @@ from mbcal.sampler import lhs_sample
 from mbcal.synthbench import SynthConfig, code_model_arrays, generate_dataset
 
 
-def runner(x, theta):
-    return code_model_arrays(x.as_array(), np.asarray(theta, dtype=float))
+runner = code_model_arrays
 
 
 @pytest.fixture(scope="module")
@@ -43,6 +42,39 @@ def test_gp_cc_shape(setup, pair):
     assert pair.gp_cc.n == 10 * 20
     assert pair.gp_cc.d == 8
     assert pair.gp_cc.m == 3
+
+
+def test_gp_cc_targets_equal_per_row_runs(setup, monkeypatch):
+    cases, part = setup
+    seen = {}
+
+    def capture(inputs, outputs, **kwargs):  # the fit itself is not under test
+        seen["x"], seen["y"] = inputs, outputs
+
+    monkeypatch.setattr(gp, "fit", capture)
+    build_gp_cc(part, cases, runner, theta_design_size=20, prior=PriorSpec(), seed=0)
+    # the per-(case, theta) loop the batched calls replaced, rows in the same order
+    cal = sorted((c for c in cases if c.case_id in part.calibration_ids),
+                 key=lambda c: c.case_id)
+    seeds = np.random.SeedSequence(0).generate_state(len(cal))
+    rows_x, rows_y = [], []
+    for case, cseed in zip(cal, seeds):
+        for th in lhs_sample(20, PriorSpec().ranges, seed=int(cseed)).points:
+            rows_x.append(np.concatenate([case.x.as_array(), th]))
+            rows_y.append(runner(case.x.as_array(), th))
+    np.testing.assert_array_equal(seen["x"], np.array(rows_x))
+    np.testing.assert_array_equal(seen["y"], np.array(rows_y))
+
+
+def test_gp_cc_names_failing_case(setup):
+    cases, part = setup
+    first = min(part.calibration_ids)
+
+    def failing(x, theta):
+        raise OSError("solver crashed")
+
+    with pytest.raises(RuntimeError, match=f"case {first}"):
+        build_gp_cc(part, cases, failing, theta_design_size=20, prior=PriorSpec(), seed=0)
 
 
 def test_gp_cc_loo_quality(pair):

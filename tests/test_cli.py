@@ -336,6 +336,35 @@ def test_pipeline_resume_refused_on_config_change(small_run, tmp_path, dataset):
         run_pipeline(cfg_path)
 
 
+def test_pipeline_resume_recomputes_truncated_chain(small_run, tmp_path, dataset):
+    _, _, out = small_run
+    out2 = tmp_path / "copy"
+    shutil.copytree(out, out2)
+    chain = out2 / "with_discrepancy" / "chain_1.csv"
+    chain.write_text("".join(chain.read_text().splitlines(keepends=True)[:10]))
+    rc = run_pipeline(write_config(tmp_path / "c.cfg", dataset, out2))
+    assert rc in (0, 2)
+    for mode in ("with_discrepancy", "no_discrepancy"):
+        for k in (1, 2):
+            name = f"{mode}/chain_{k}.csv"
+            assert (out2 / name).read_bytes() == (out / name).read_bytes(), name
+
+
+def test_pipeline_resume_refused_after_dataset_edit(tmp_path, dataset):
+    data = tmp_path / "cases.csv"
+    shutil.copy(dataset, data)
+    cfg_path = write_config(tmp_path / "c.cfg", data, tmp_path / "out")
+    assert run_pipeline(cfg_path, stages={"screen"}) == 0
+    assert run_pipeline(cfg_path, stages={"screen"}) == 0  # unchanged: resumes
+    lines = data.read_text().splitlines()
+    toks = lines[1].split(",")
+    toks[5] = repr(float(toks[5]) + 0.1)
+    lines[1] = ",".join(toks)
+    data.write_text("\n".join(lines) + "\n")
+    with pytest.raises(RuntimeError, match="resume refused"):
+        run_pipeline(cfg_path, stages={"screen"})
+
+
 def test_pipeline_fresh_out_dir_replays(small_run, tmp_path, dataset):
     # same config hash, new out_dir: byte-identical chains
     _, cfg_path, out = small_run
@@ -382,9 +411,3 @@ def test_main_reports_errors(tmp_path, capsys):
     rc = main(["run", "--config", str(tmp_path / "missing.cfg")])
     assert rc == 1
     assert "error:" in capsys.readouterr().err
-
-
-def test_main_rejects_bad_threads(tmp_path, dataset):
-    cfg_path = write_config(tmp_path / "c.cfg", dataset, tmp_path / "out")
-    rc = main(["run", "--config", str(cfg_path), "--threads", "0"])
-    assert rc == 1

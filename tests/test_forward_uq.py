@@ -5,8 +5,12 @@ from mbcal.forward_uq import propagate, rmse_report
 from mbcal.synthbench import SynthConfig, code_model_arrays, generate_dataset
 
 
-def runner(x, theta):
-    return code_model_arrays(x.as_array(), np.asarray(theta, dtype=float))
+runner = code_model_arrays
+
+
+def nominal(cases):
+    xs = np.array([c.x.as_array() for c in cases])
+    return runner(xs, np.ones_like(xs))
 
 
 @pytest.fixture(scope="module")
@@ -19,7 +23,7 @@ def test_point_mass_posterior(cases):
     draws = np.tile(theta, (50, 1))
     summary = propagate(runner, cases, draws, n_use=50)
     for i, case in enumerate(cases):
-        np.testing.assert_allclose(summary.mean[i], runner(case.x, theta))
+        np.testing.assert_allclose(summary.mean[i], runner(case.x.as_array(), theta))
     np.testing.assert_allclose(summary.std, 0.0, atol=1e-15)
 
 
@@ -29,6 +33,33 @@ def test_propagate_preconditions(cases):
         propagate(runner, cases, draws, n_use=0)
     with pytest.raises(ValueError, match="exceeds"):
         propagate(runner, cases, draws, n_use=11)
+
+
+def test_propagate_equals_per_case_theta_loop(cases):
+    rng = np.random.default_rng(2)
+    draws = np.clip(1.0 + 0.3 * rng.standard_normal((300, 4)), 0.05, 5.0)
+    summary = propagate(runner, cases, draws, n_use=120)
+    idx = np.unique(np.linspace(0, 299, 120).astype(int))
+    ref = np.array([[runner(c.x.as_array(), th) for th in draws[idx]] for c in cases])
+    np.testing.assert_array_equal(summary.mean, ref.mean(axis=1))
+    np.testing.assert_array_equal(summary.std, ref.std(axis=1))
+    p = np.percentile(ref, [2.5, 97.5], axis=1)
+    np.testing.assert_array_equal(summary.p025, p[0])
+    np.testing.assert_array_equal(summary.p975, p[1])
+
+
+def test_propagate_names_failing_case(cases):
+    bad_id = cases[3].case_id
+
+    def failing(x, theta):
+        if np.array_equal(x[0], cases[3].x.as_array()):
+            raise OSError("solver crashed")
+        return runner(x, theta)
+
+    with pytest.raises(RuntimeError, match=f"case {bad_id}"):
+        propagate(failing, cases, np.ones((10, 4)), n_use=10)
+    with pytest.raises(RuntimeError, match="shape"):
+        propagate(lambda x, theta: runner(x, theta)[:-1], cases, np.ones((10, 4)), 10)
 
 
 def test_propagate_deterministic(cases):
@@ -79,7 +110,7 @@ def test_rmse_hand_computed(cases):
 def test_rmse_permutation_invariant(cases):
     rng = np.random.default_rng(3)
     draws = np.clip(1.0 + 0.1 * rng.standard_normal((100, 4)), 0.1, 5.0)
-    prior = np.array([runner(c.x, np.ones(4)) for c in cases])
+    prior = nominal(cases)
     report = rmse_report(propagate(runner, cases, draws, 50), prior, cases)
     perm = list(np.random.default_rng(4).permutation(len(cases)))
     cases_p = [cases[i] for i in perm]
@@ -91,7 +122,7 @@ def test_rmse_permutation_invariant(cases):
 
 def test_rmse_misaligned_ids(cases):
     summary = propagate(runner, cases, np.ones((5, 4)), n_use=5)
-    prior = np.array([runner(c.x, np.ones(4)) for c in cases])
+    prior = nominal(cases)
     with pytest.raises(ValueError, match="misaligned"):
         rmse_report(summary, prior[:-1], list(reversed(cases)))
 
@@ -103,6 +134,6 @@ def test_coverage_with_correct_model():
     rng = np.random.default_rng(5)
     draws = cfg.theta_true.as_array() + 0.05 * rng.standard_normal((1000, 4))
     summary = propagate(runner, cases, draws, n_use=500)
-    prior = np.array([runner(c.x, np.ones(4)) for c in cases])
+    prior = nominal(cases)
     report = rmse_report(summary, prior, cases)
     assert 0.85 <= report.coverage_95 <= 1.0

@@ -2,18 +2,17 @@ import numpy as np
 import pytest
 
 from mbcal.domain import BoundaryConditions
+from mbcal.sampler import uniform_grid
 from mbcal.sensitivity import oat_screen, sobol_indices
 from mbcal.synthbench import code_model_arrays
 
-X_FIXED = BoundaryConditions(0.5, 0.3, 0.5, 0.8)
+X_FIXED = BoundaryConditions(0.5, 0.3, 0.5, 0.8).as_array()
 
-
-def synth_runner(x, theta):
-    return code_model_arrays(x.as_array(), np.asarray(theta))
+synth_runner = code_model_arrays
 
 
 def runner_with_dummies(x, theta8):
-    return code_model_arrays(x.as_array(), np.asarray(theta8)[:4])
+    return code_model_arrays(x, theta8[:, :4])
 
 
 def test_oat_inert_parameter_excluded():
@@ -21,6 +20,17 @@ def test_oat_inert_parameter_excluded():
     np.testing.assert_allclose(res.variances[4:], 0.0, atol=1e-15)
     for name in ("p5", "p6", "p7", "p8"):
         assert name not in res.selected
+
+
+def test_oat_equals_per_row_sweep():
+    res = oat_screen(runner_with_dummies, X_FIXED, [(0, 5)] * 8, n=50, threshold=1e-3)
+    for i in range(8):
+        rows = []
+        for g in uniform_grid(50, (0, 5)):
+            theta = np.ones(8)
+            theta[i] = g
+            rows.append(code_model_arrays(X_FIXED, theta[:4]))
+        np.testing.assert_array_equal(res.variances[i], np.array(rows).var(axis=0))
 
 
 def test_oat_all_four_synth_parameters_selected():
@@ -42,8 +52,8 @@ def test_oat_selection_invariant_under_reordering():
     perm = [3, 0, 7, 1, 5, 2, 6, 4]
 
     def permuted_runner(x, theta8):
-        t = np.empty(8)
-        t[perm] = theta8
+        t = np.empty_like(theta8)
+        t[:, perm] = theta8
         return runner_with_dummies(x, t)
 
     res_p = oat_screen(
@@ -56,9 +66,9 @@ def test_oat_selection_invariant_under_reordering():
 
 def test_oat_runner_failure_reports_parameter():
     def bad(x, theta):
-        if theta[1] > 4:
+        if np.any(theta[:, 1] > 4):
             raise RuntimeError("boom")
-        return [theta.sum()]
+        return theta.sum(axis=1, keepdims=True)
 
     with pytest.raises(RuntimeError, match="parameter 1"):
         oat_screen(bad, X_FIXED, [(0, 5)] * 2, n=10, threshold=1e-3)
@@ -81,6 +91,18 @@ def test_sobol_linear_function():
     # additive function: total ~= first order
     np.testing.assert_allclose(res.total, res.first_order, atol=0.05)
     assert res.first_order[:, 0].sum() < 1.05
+
+
+def test_sobol_runner_error_propagates():
+    calls = []
+
+    def failing(th):
+        calls.append(th.shape)
+        raise OSError("solver crashed")
+
+    with pytest.raises(OSError, match="solver crashed"):
+        sobol_indices(failing, [(0, 1)] * 2, 64, seed=0)
+    assert calls == [(64, 2)]  # no row-by-row retry
 
 
 def test_sobol_constant_function_zero():
