@@ -143,14 +143,15 @@ class LogPosterior:
     """Callable log-posterior of theta for a fixed surrogate pair and data.
 
     Discrepancy mean/variance at the calibration boundary conditions do not
-    depend on theta and are precomputed; per call only the emulator is
-    queried (one batched prediction over all calibration cases).
+    depend on theta and are precomputed. So is every theta-free part of the
+    emulator prediction: GP_CC's inputs are [x, theta] (BC_DIM boundary
+    conditions first), so gp.SplitPredictor fixes the x columns at the
+    calibration cases and a call evaluates only the theta columns.
     """
 
     def __init__(self, pair: SurrogatePair, cases, partition: Partition,
                  mode: CalibrationMode, prior: PriorSpec):
         cal_cases = _sorted_cases(cases, partition.calibration_ids)
-        self.pair = pair
         self.mode = mode
         self.prior = prior
         self.x_cal = np.array([c.x.as_array() for c in cal_cases])
@@ -158,6 +159,7 @@ class LogPosterior:
         self.sigma2_exp = np.array([c.meas.sigma_exp**2 for c in cal_cases])[:, None]
         if np.any(self.sigma2_exp <= 0):
             raise ValueError("nonpositive measurement sigma in calibration set")
+        self._gp_cc = gp.SplitPredictor(pair.gp_cc, self.x_cal)
         if mode is CalibrationMode.WithDiscrepancy and pair.gp_md is not None:
             self.delta, self.sigma2_delta = gp.predict(pair.gp_md, self.x_cal)
         else:
@@ -168,8 +170,7 @@ class LogPosterior:
         theta = np.asarray(theta, dtype=float).ravel()
         if not np.all(np.isfinite(theta)) or not self.prior.contains(theta):
             return -np.inf
-        pts = np.hstack([self.x_cal, np.tile(theta, (self.x_cal.shape[0], 1))])
-        mean, sigma2_code = gp.predict(self.pair.gp_cc, pts)
+        mean, sigma2_code = self._gp_cc(theta)
         r = self.y_exp - mean - self.delta
         v = self.sigma2_exp + self.sigma2_delta + sigma2_code
         return float(

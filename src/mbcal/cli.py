@@ -276,18 +276,25 @@ def _hash_line(cfg_hash: str) -> str:
     return f"# config_hash={cfg_hash}\n"
 
 
-def _check_resume(path, cfg_hash: str) -> bool:
-    """True if the artifact exists with a matching hash; error on mismatch."""
+def _check_resume(path, cfg_hash: str, n_rows: int | None = None) -> bool:
+    """True if the artifact exists with a matching hash and, when n_rows is
+    given, a header and exactly n_rows complete rows after the hash line;
+    error on a hash mismatch. A file cut short, even inside its hash line,
+    counts as missing."""
     if not os.path.exists(path):
         return False
     with open(path) as fh:
-        first = fh.readline().strip()
-    if first == f"# config_hash={cfg_hash}":
-        return True
-    raise RuntimeError(
-        f"resume refused: {path} was produced under a different config "
-        f"(found '{first}')"
-    )
+        first = fh.readline()
+        body = fh.read() if n_rows is not None else ""
+    if not first.endswith("\n"):
+        return False
+    first = first.strip()
+    if first != f"# config_hash={cfg_hash}":
+        raise RuntimeError(
+            f"resume refused: {path} was produced under a different config "
+            f"(found '{first}')"
+        )
+    return n_rows is None or (body.endswith("\n") and body.count("\n") == n_rows + 1)
 
 
 def _replace(path, write) -> None:
@@ -317,7 +324,7 @@ def _try_load_gp(path, cfg_hash):
         doc = json.load(fh)
     if doc.get("config_hash") != cfg_hash:
         raise RuntimeError(f"resume refused: {path} has a different config hash")
-    return gp.load_model(path)
+    return gp.load_model(doc)
 
 
 def _load_chain(path, n_samples, n_burn) -> PosteriorChain | None:
@@ -434,7 +441,8 @@ def run_pipeline(config_path, out_override=None, seed_override=None, stages=None
 
     if cfg.run_screen and "screen" in stages:
         path = os.path.join(cfg.out_dir, "screening.csv")
-        if not _check_resume(path, cfg_hash):
+        if not _check_resume(path, cfg_hash,
+                             n_rows=len(SCREEN_NAMES) * len(LOCATION_NAMES)):
             def do_screen():
                 res = oat_screen(
                     _screen_runner, x_fixed.as_array(), [SCREEN_RANGE] * 8,
@@ -451,7 +459,8 @@ def run_pipeline(config_path, out_override=None, seed_override=None, stages=None
 
     if cfg.run_sobol and "sobol" in stages:
         path = os.path.join(cfg.out_dir, "sobol.csv")
-        if not _check_resume(path, cfg_hash):
+        if not _check_resume(path, cfg_hash,
+                             n_rows=len(PARAMETER_NAMES) * len(LOCATION_NAMES)):
             def do_sobol():
                 res = sobol_indices(
                     lambda th: code_model_arrays(

@@ -17,7 +17,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import cho_solve, cholesky, solve_triangular
+from scipy.linalg.lapack import dpotri, dtrtri
 from scipy.optimize import minimize
+from scipy.spatial.distance import cdist
 
 from .sampler import lhs_sample
 
@@ -27,6 +29,7 @@ __all__ = [
     "GpModel",
     "fit",
     "predict",
+    "SplitPredictor",
     "loo_cv",
     "log_marginal_likelihood",
     "lml_and_grad",
@@ -96,12 +99,17 @@ class GpModel:
 
 
 def _sq_dists(a: np.ndarray, b: np.ndarray, lengthscales: np.ndarray) -> np.ndarray:
-    """Sum over dimensions of squared scaled differences, accumulated per dim."""
-    s = np.zeros((a.shape[0], b.shape[0]))
-    for k in range(a.shape[1]):
-        diff = a[:, k, None] - b[None, :, k]
-        s += (diff / lengthscales[k]) ** 2
-    return s
+    """Sum over dimensions of squared lengthscale-scaled differences."""
+    return cdist(a / lengthscales, b / lengthscales, "sqeuclidean")
+
+
+def _chol_inverse(low: np.ndarray) -> np.ndarray:
+    """K^-1 from the lower Cholesky factor of K (LAPACK potri), symmetrized."""
+    inv, info = dpotri(low, lower=1)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"potri failed (info={info})")
+    inv = np.tril(inv)
+    return inv + np.tril(inv, -1).T
 
 
 def kernel_matrix(kc: KernelConfig, a: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
@@ -149,8 +157,11 @@ def lml_and_grad(log_params: np.ndarray, x: np.ndarray, y: np.ndarray):
     """LML and its gradient w.r.t. log hyperparameters.
 
     log_params = [log l_1..log l_d, log signal_variance, log nugget].
-    Gradient uses 1/2 tr((aa^T - K^-1) dK/dp) with dK recomputed per dimension
-    to avoid storing n x n x d distance tensors.
+    The gradient is 1/2 tr(W dK/dp) with W = aa^T - K^-1 (Rasmussen &
+    Williams 2006, eq. 5.9). With M = W * K_se, r = M 1 and scaled inputs
+    xs = x / l, the d lengthscale terms are sum_i xs_ij^2 r_i - xs_j^T M xs_j,
+    one contraction instead of an n x n x d difference tensor.
+    Inputs must be finite: fit and build_model check them.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float).ravel()
@@ -159,27 +170,36 @@ def lml_and_grad(log_params: np.ndarray, x: np.ndarray, y: np.ndarray):
     sv = float(np.exp(log_params[d]))
     ng = float(np.exp(log_params[d + 1]))
 
-    kse = sv * np.exp(-0.5 * _sq_dists(x, x, ls))
+    xs = x / ls
+    kse = sv * np.exp(-0.5 * cdist(xs, xs, "sqeuclidean"))
     k = kse.copy()
     k[np.diag_indices_from(k)] += ng
     try:
-        low = cholesky(k, lower=True)
+        low = cholesky(k, lower=True, check_finite=False)
     except np.linalg.LinAlgError:
         return -np.inf, np.zeros(d + 2)
-    alpha = cho_solve((low, True), y)
+    alpha = cho_solve((low, True), y, check_finite=False)
     lml = -0.5 * y @ alpha - np.sum(np.log(np.diag(low))) - 0.5 * n * np.log(2 * np.pi)
 
-    kinv = cho_solve((low, True), np.eye(n))
-    w = np.outer(alpha, alpha) - kinv  # d(LML)/dK = W/2
+    w = np.outer(alpha, alpha) - _chol_inverse(low)  # d(LML)/dK = W/2
+    m = w * kse
+    r = m.sum(axis=1)
 
     grad = np.empty(d + 2)
-    for j in range(d):
-        diff = x[:, j, None] - x[None, :, j]
-        dk = kse * (diff / ls[j]) ** 2  # dK/d(log l_j)
-        grad[j] = 0.5 * np.sum(w * dk)
-    grad[d] = 0.5 * np.sum(w * kse)             # dK/d(log sv) = K_se
+    grad[:d] = (xs * xs).T @ r - np.einsum("ij,ij->j", xs, m @ xs)
+    grad[d] = 0.5 * r.sum()                     # dK/d(log sv) = K_se
     grad[d + 1] = 0.5 * ng * np.trace(w)        # dK/d(log nugget) = ng*I
     return float(lml), grad
+
+
+def _training_arrays(inputs, outputs):
+    inputs = np.atleast_2d(np.asarray(inputs, dtype=float))
+    outputs = np.asarray(outputs, dtype=float)
+    if outputs.ndim == 1:
+        outputs = outputs[:, None]
+    if not (np.all(np.isfinite(inputs)) and np.all(np.isfinite(outputs))):
+        raise ValueError("non-finite training inputs or outputs")
+    return inputs, outputs
 
 
 def _standardize(inputs: np.ndarray, outputs: np.ndarray):
@@ -205,10 +225,7 @@ def fit(
     seed: int = 0,
 ) -> GpModel:
     """Fit one independent GP per output column by multi-start MLE."""
-    inputs = np.atleast_2d(np.asarray(inputs, dtype=float))
-    outputs = np.asarray(outputs, dtype=float)
-    if outputs.ndim == 1:
-        outputs = outputs[:, None]
+    inputs, outputs = _training_arrays(inputs, outputs)
     n, d = inputs.shape
     if outputs.shape[0] != n:
         raise ValueError("inputs and outputs row counts differ")
@@ -290,10 +307,7 @@ def fit(
 
 def build_model(inputs, outputs, kernels) -> GpModel:
     """Assemble a GpModel with fixed hyperparameters (no optimization)."""
-    inputs = np.atleast_2d(np.asarray(inputs, dtype=float))
-    outputs = np.asarray(outputs, dtype=float)
-    if outputs.ndim == 1:
-        outputs = outputs[:, None]
+    inputs, outputs = _training_arrays(inputs, outputs)
     x, y, in_lo, in_span, out_mean, out_std = _standardize(inputs, outputs)
     model = GpModel(
         x=x, y=y, kernels=list(kernels), in_lo=in_lo, in_span=in_span,
@@ -336,6 +350,58 @@ def predict(model: GpModel, points: np.ndarray):
     return mean, var
 
 
+class SplitPredictor:
+    """predict at rows [lead_i, tail]: fixed lead rows, one tail per call.
+
+    The SE kernel is a product over input columns, so the cross-covariance
+    factors as k*(lead_i, tail) = K_lead[i] * k_tail(tail). K_lead, the
+    scaled tail columns of the training inputs and L^-T (LAPACK trtri on the
+    stored Cholesky factor, whose upper triangle is zero) are computed once;
+    a call costs one length-n exponential per output, one matrix-vector
+    product for the mean and one matrix product for the variance.
+    """
+
+    def __init__(self, model: GpModel, lead: np.ndarray):
+        lead = np.atleast_2d(np.asarray(lead, dtype=float))
+        c = lead.shape[1]
+        if not 0 < c < model.d:
+            raise ValueError(f"lead must have 1..{model.d - 1} columns, got {c}")
+        q = (lead - model.in_lo[:c]) / model.in_span[:c]
+        kernels = model.kernels
+        self.model = model
+        self.c = c
+        self.sv = np.array([kc.signal_variance for kc in kernels])[:, None]
+        self.k_lead = np.stack([
+            kc.signal_variance
+            * np.exp(-0.5 * _sq_dists(q, model.x[:, :c], kc.lengthscales[:c]))
+            for kc in kernels
+        ])                                                            # (m, q, n)
+        self.tail_scale = np.array([kc.lengthscales[c:] for kc in kernels])
+        self.x_tail = model.x[None, :, c:] / self.tail_scale[:, None, :]  # (m, n, d-c)
+        self.alphas = np.stack(model.alphas)                          # (m, n)
+        # filled one output at a time, so the build needs one n x n scratch
+        self.linv_t = np.empty((model.m, model.n, model.n))
+        for j, low in enumerate(model.chols):
+            linv, info = dtrtri(low, lower=1)
+            if info != 0:
+                raise np.linalg.LinAlgError(f"trtri failed (info={info})")
+            self.linv_t[j] = linv.T
+
+    def __call__(self, tail: np.ndarray):
+        """Posterior mean and variance (de-standardized), each (q, m)."""
+        model, c = self.model, self.c
+        t = (np.asarray(tail, dtype=float) - model.in_lo[c:]) / model.in_span[c:]
+        diff = self.x_tail - (t / self.tail_scale)[:, None, :]
+        k_tail = np.exp(-0.5 * np.einsum("mnk,mnk->mn", diff, diff))   # (m, n)
+        mu = np.matmul(self.k_lead, (k_tail * self.alphas)[:, :, None])[:, :, 0]
+        v = np.matmul(self.k_lead * k_tail[:, None, :], self.linv_t)
+        s2 = self.sv - np.einsum("mqn,mqn->mq", v, v)
+        if np.any(s2 < -1e-8):
+            raise FloatingPointError("predictive variance significantly negative")
+        s2 = np.clip(s2, 0.0, None)
+        return (mu.T * model.out_std + model.out_mean, s2.T * model.out_std**2)
+
+
 def loo_cv(model: GpModel) -> list[dict]:
     """Exact leave-one-out metrics per output from the cached factorization.
 
@@ -346,8 +412,7 @@ def loo_cv(model: GpModel) -> list[dict]:
         raise ValueError("need at least 3 training points for LOO")
     metrics = []
     for j in range(model.m):
-        kinv = cho_solve((model.chols[j], True), np.eye(model.n))
-        diag = np.diag(kinv)
+        diag = np.diag(_chol_inverse(model.chols[j]))
         resid_std = model.alphas[j] / diag  # y_i - mu_{-i} on standardized scale
         resid = resid_std * model.out_std[j]
         yraw = model.y[:, j] * model.out_std[j] + model.out_mean[j]
@@ -398,9 +463,14 @@ def save_model(model: GpModel, path, extra: dict | None = None) -> None:
         json.dump(doc, fh)
 
 
-def load_model(path) -> GpModel:
-    with open(path) as fh:
-        doc = json.load(fh)
+def load_model(source) -> GpModel:
+    """Rebuild a model from a save_model file, or from its already parsed
+    JSON document (a dict) when the caller has read it."""
+    if isinstance(source, dict):
+        doc = source
+    else:
+        with open(source) as fh:
+            doc = json.load(fh)
     if doc.get("format") != "mbcal-gp-1":
         raise ValueError("unrecognized GP model file")
     model = GpModel(

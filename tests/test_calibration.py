@@ -166,6 +166,29 @@ def test_log_posterior_gaussian_closed_form(setup, pair):
     assert abs(lp(theta) - expected) < 1e-10
 
 
+@pytest.mark.parametrize("mode", list(CalibrationMode))
+def test_factored_log_posterior_matches_dense_predict(setup, pair, mode):
+    # reference: every calibration row [x_i, theta] through gp.predict.
+    # Agreement is to rounding, which grows with |log posterior| (it reaches
+    # ~2e3 in the box), so the 1e-10 bound is absolute up to |lp| = 1 and
+    # relative beyond.
+    cases, part = setup
+    lp = LogPosterior(pair, cases, part, mode, PriorSpec())
+    split = gp.SplitPredictor(pair.gp_cc, lp.x_cal)
+    for theta in lhs_sample(200, PriorSpec().ranges, seed=5).points:
+        pts = np.hstack([lp.x_cal, np.tile(theta, (lp.x_cal.shape[0], 1))])
+        mean, s2_code = gp.predict(pair.gp_cc, pts)
+        m2, v2 = split(theta)
+        np.testing.assert_allclose(m2, mean, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(v2, s2_code, rtol=0, atol=1e-12)
+        v = lp.sigma2_exp + lp.sigma2_delta + s2_code
+        r = lp.y_exp - mean - lp.delta
+        ref = -0.5 * np.sum(r**2 / v + np.log(2 * np.pi * v)) + lp.prior.log_density
+        assert abs(lp(theta) - ref) <= 1e-10 * max(1.0, abs(ref))
+    for outside in ([5.01, 1, 1, 1], [1, 1, 1, 0.04], [1, np.nan, 1, 1]):
+        assert lp(np.array(outside)) == -np.inf
+
+
 def test_mode_consistency_zero_discrepancy(setup, pair):
     cases, part = setup
     lp_no = LogPosterior(pair, cases, part, CalibrationMode.NoDiscrepancy, PriorSpec())

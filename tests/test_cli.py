@@ -411,3 +411,24 @@ def test_main_reports_errors(tmp_path, capsys):
     rc = main(["run", "--config", str(tmp_path / "missing.cfg")])
     assert rc == 1
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name, stage, extra", [
+    ("screening.csv", "screen", {}),
+    ("sobol.csv", "sobol", {"run_sobol": "true", "sobol_n_base": "64"}),
+])
+def test_pipeline_resume_recomputes_short_fixed_row_artifact(tmp_path, dataset,
+                                                             name, stage, extra):
+    # screening.csv holds 8 x 3 rows and sobol.csv 4 x 3: a file cut to 5
+    # lines keeps its hash line, one cut to 10 bytes not even that; both
+    # must be recomputed, not reused or refused
+    fresh = write_config(tmp_path / "a.cfg", dataset, tmp_path / "a", **extra)
+    assert run_pipeline(fresh, stages={stage}) == 0
+    expected = (tmp_path / "a" / name).read_bytes()
+    cfg_path = write_config(tmp_path / "b.cfg", dataset, tmp_path / "b", **extra)
+    assert run_pipeline(cfg_path, stages={stage}) == 0
+    path = tmp_path / "b" / name
+    for cut in (b"".join(expected.splitlines(keepends=True)[:5]), expected[:10]):
+        path.write_bytes(cut)
+        assert run_pipeline(cfg_path, stages={stage}) == 0
+        assert path.read_bytes() == expected

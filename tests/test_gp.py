@@ -1,5 +1,8 @@
+import json
+
 import numpy as np
 import pytest
+from scipy.linalg import cho_solve, cholesky
 
 import mbcal.gp as gp
 from mbcal.sampler import lhs_sample
@@ -209,3 +212,71 @@ def test_serialization_roundtrip(tmp_path):
     m2, v2 = gp.predict(loaded, q)
     np.testing.assert_array_equal(m1, m2)
     np.testing.assert_array_equal(v1, v2)
+
+
+def test_load_model_from_parsed_document(tmp_path):
+    x, y = small_instance(7)
+    model = gp.fit(x, y, seed=7)
+    path = tmp_path / "model.json"
+    gp.save_model(model, path, {"note": "extra keys are ignored"})
+    with open(path) as fh:
+        doc = json.load(fh)
+    from_doc, from_path = gp.load_model(doc), gp.load_model(path)
+    for a, b in zip(from_doc.chols, from_path.chols):
+        np.testing.assert_array_equal(a, b)
+
+
+@pytest.mark.parametrize("build", ["fit", "build_model"])
+@pytest.mark.parametrize("where", ["inputs", "outputs"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_training_data_rejected(build, where, bad):
+    x, y = small_instance(4)
+    if where == "inputs":
+        x[3, 1] = bad
+    else:
+        y[5] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        if build == "fit":
+            gp.fit(x, y, seed=0)
+        else:
+            gp.build_model(x, y, [gp.KernelConfig(np.array([0.3, 0.3]), 1.0, 1e-8)])
+
+
+def _lml_and_grad_per_dimension(log_params, x, y):
+    """Reference: dense K^-1 from cho_solve(L, I) and dK/d(log l_j) rebuilt
+    one input dimension at a time."""
+    n, d = x.shape
+    ls = np.exp(log_params[:d])
+    sv, ng = float(np.exp(log_params[d])), float(np.exp(log_params[d + 1]))
+    s = np.zeros((n, n))
+    for j in range(d):
+        s += ((x[:, j, None] - x[None, :, j]) / ls[j]) ** 2
+    kse = sv * np.exp(-0.5 * s)
+    k = kse + ng * np.eye(n)
+    low = cholesky(k, lower=True)
+    alpha = cho_solve((low, True), y)
+    lml = -0.5 * y @ alpha - np.sum(np.log(np.diag(low))) - 0.5 * n * np.log(2 * np.pi)
+    w = np.outer(alpha, alpha) - cho_solve((low, True), np.eye(n))
+    grad = np.empty(d + 2)
+    for j in range(d):
+        diff = x[:, j, None] - x[None, :, j]
+        grad[j] = 0.5 * np.sum(w * kse * (diff / ls[j]) ** 2)
+    grad[d] = 0.5 * np.sum(w * kse)
+    grad[d + 1] = 0.5 * ng * np.trace(w)
+    return float(lml), grad
+
+
+@pytest.mark.parametrize("nugget", [1e-8, 1e-4])
+def test_lml_and_grad_matches_per_dimension_loop(nugget):
+    # GP_CC-shaped: 200 rows of [x (4), theta (4)] on the unit cube
+    x = lhs_sample(200, [(0, 1)] * 8, seed=3).points
+    y = code_model_arrays(x[:, :4], 0.05 + 4.95 * x[:, 4:])[:, 0]
+    y = (y - y.mean()) / y.std()
+    rng = np.random.default_rng(17)
+    for _ in range(4):
+        p = np.concatenate([rng.uniform(np.log(0.2), np.log(3.0), 8),
+                            [rng.uniform(-1.0, 1.0), np.log(nugget)]])
+        lml, grad = gp.lml_and_grad(p, x, y)
+        ref_lml, ref_grad = _lml_and_grad_per_dimension(p, x, y)
+        assert abs(lml - ref_lml) <= 1e-8 * abs(ref_lml)
+        np.testing.assert_allclose(grad, ref_grad, rtol=1e-8, atol=0)
