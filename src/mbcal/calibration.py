@@ -18,7 +18,7 @@ import numpy as np
 from scipy.spatial.distance import cdist
 
 from . import gp
-from .domain import ParameterVector, Partition
+from .domain import PARAMETER_NAMES, Partition
 from .mcmc import McmcConfig, PosteriorChain, adaptive_mh, diagnostics
 from .sampler import lhs_sample
 
@@ -30,6 +30,7 @@ __all__ = [
     "build_gp_cc",
     "build_gp_md",
     "calibrate",
+    "summarize",
     "CalibrationResult",
 ]
 
@@ -123,7 +124,6 @@ def build_gp_md(
     partition: Partition,
     cases,
     runner,
-    theta_nominal: ParameterVector | None = None,
     restarts: int = 8,
     seed: int = 0,
 ) -> gp.GpModel:
@@ -132,10 +132,9 @@ def build_gp_md(
     val_cases = _sorted_cases(cases, partition.validation_ids)
     if len(val_cases) < BC_DIM + 1:
         raise ValueError(f"need at least {BC_DIM + 1} validation cases")
-    theta = (theta_nominal or ParameterVector.ones()).as_array()
     xs = np.array([c.x.as_array() for c in val_cases])
     y_exp = np.array([c.y_exp.as_array() for c in val_cases])
-    pred = np.asarray(runner(xs, np.broadcast_to(theta, xs.shape)), dtype=float)
+    pred = np.asarray(runner(xs, np.ones_like(xs)), dtype=float)
     return gp.fit(xs, y_exp - pred, restarts=restarts, seed=seed)
 
 
@@ -192,10 +191,15 @@ class CalibrationResult:
         return np.concatenate([c.post_burn for c in self.chains])
 
 
-def _summarize(draws: np.ndarray, names) -> tuple[dict, np.ndarray]:
+def summarize(mode: CalibrationMode, pair: SurrogatePair,
+              chains: list[PosteriorChain]) -> CalibrationResult:
+    """Diagnostics and pooled post-burn-in statistics of finished chains.
+    Converged means every R-hat < 1.1."""
+    diag = diagnostics(chains)
+    pooled = np.concatenate([c.post_burn for c in chains])
     summary = {}
-    for j, name in enumerate(names):
-        col = draws[:, j]
+    for j, name in enumerate(PARAMETER_NAMES):
+        col = pooled[:, j]
         p = np.percentile(col, [2.5, 50.0, 97.5])
         summary[name] = {
             "mean": float(col.mean()),
@@ -204,49 +208,31 @@ def _summarize(draws: np.ndarray, names) -> tuple[dict, np.ndarray]:
             "p50": float(p[1]),
             "p97.5": float(p[2]),
         }
-    return summary, np.corrcoef(draws.T)
+    return CalibrationResult(
+        mode=mode, pair=pair, chains=chains, diagnostics=diag, summary=summary,
+        correlation=np.corrcoef(pooled.T), converged=bool(np.all(diag["rhat"] < 1.1)),
+    )
 
 
 def calibrate(
+    pair: SurrogatePair,
     cases,
     partition: Partition,
-    runner,
     mode: CalibrationMode,
-    prior: PriorSpec = PriorSpec(),
-    theta_design_size: int = 100,
-    mcmc_config: McmcConfig | None = None,
-    n_chains: int = 4,
-    seed: int = 0,
-    gp_restarts: int = 8,
-    pair: SurrogatePair | None = None,
-    param_names=("P1008", "P1012", "P1022", "P1028"),
+    prior: PriorSpec,
+    mcmc_config: McmcConfig,
+    n_chains: int,
 ) -> CalibrationResult:
-    """Full modular-Bayesian calibration in one mode.
+    """Modular-Bayesian calibration in one mode with the surrogates held fixed.
 
-    Builds the surrogates (unless a prebuilt pair is supplied), runs n_chains
-    adaptive-MH chains from jittered all-ones starts, and summarizes the
-    pooled post-burn-in draws. Non-convergence (any R-hat >= 1.1) is reported
-    in the result, not raised.
+    Runs n_chains adaptive-MH chains from jittered starts around
+    mcmc_config.init, confined to the prior box, and summarizes them.
+    Non-convergence (any R-hat >= 1.1) is reported in the result and warned
+    about, not raised.
     """
     if n_chains < 2:
         raise ValueError("need at least 2 chains for diagnostics")
-    if pair is None:
-        gp_cc = build_gp_cc(partition, cases, runner, theta_design_size, prior,
-                            seed=seed, restarts=gp_restarts)
-        gp_md = None
-        if mode is CalibrationMode.WithDiscrepancy:
-            gp_md = build_gp_md(partition, cases, runner,
-                                restarts=gp_restarts, seed=seed + 1)
-        pair = SurrogatePair(gp_cc=gp_cc, gp_md=gp_md)
     log_post = LogPosterior(pair, cases, partition, mode, prior)
-
-    if mcmc_config is None:
-        width = prior.hi - prior.lo
-        mcmc_config = McmcConfig(
-            init=np.ones(THETA_DIM),
-            initial_proposal_cov=np.eye(THETA_DIM) * (0.05 * width) ** 2,
-            seed=seed,
-        )
     mcmc_config = replace(
         mcmc_config,
         support=(np.full(THETA_DIM, prior.lo), np.full(THETA_DIM, prior.hi)),
@@ -263,13 +249,9 @@ def calibrate(
         cfg_k = replace(mcmc_config, init=init, seed=int(chain_seeds[2 * k + 1]))
         chains.append(adaptive_mh(log_post, cfg_k))
 
-    diag = diagnostics(chains)
-    converged = bool(np.all(diag["rhat"] < 1.1))
-    if not converged:
-        warnings.warn(f"MCMC not converged: max R-hat = {np.max(diag['rhat']):.3f}")
-    pooled = np.concatenate([c.post_burn for c in chains])
-    summary, corr = _summarize(pooled, param_names)
-    return CalibrationResult(
-        mode=mode, pair=pair, chains=chains, diagnostics=diag,
-        summary=summary, correlation=corr, converged=converged,
-    )
+    result = summarize(mode, pair, chains)
+    if not result.converged:
+        warnings.warn(
+            f"MCMC not converged: max R-hat = {np.max(result.diagnostics['rhat']):.3f}"
+        )
+    return result

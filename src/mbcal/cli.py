@@ -2,11 +2,11 @@
 calibrate (per mode) -> validate -> export.
 
 Config files are flat ``key = value`` text; unknown keys are errors. Every
-artifact carries the config hash on its first line (``# config_hash=...`` for
-CSVs, a top-level key for the GP JSON files); resume reuses artifacts whose
-hash matches and refuses mismatched ones. The hash covers the config and the
-bytes of the dataset and partition files. Artifacts are written to a
-temporary file and renamed into place, so none is ever left half-written.
+artifact carries the hash of the config and of the input files' bytes (on
+its first line, or as a GP JSON key). On resume ``_reuse`` reuses an
+artifact with the run's hash, recomputes a missing or cut-short one and
+refuses any other. Artifacts are written to a temporary file and renamed
+into place, so none is ever left half-written.
 
 The forward model is ``synthbench.code_model_arrays``, called through the
 batched runner contract ``runner(X, Theta) -> Y`` (see README).
@@ -19,96 +19,36 @@ import hashlib
 import json
 import os
 import sys
-from dataclasses import dataclass, field
+from contextlib import contextmanager
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
 from . import gp
 from .calibration import (
     CalibrationMode,
-    CalibrationResult,
     PriorSpec,
     SurrogatePair,
     build_gp_cc,
     build_gp_md,
     calibrate,
+    summarize,
 )
 from .domain import (
-    DATASET_HEADER,
     LOCATION_NAMES,
     PARAMETER_NAMES,
-    BoundaryConditions,
-    ExperimentCase,
-    MeasurementModel,
-    VoidMeasurement,
+    ingest_csv,
     partition_dataset,
-    validate_case,
+    write_dataset_csv,
 )
 from .forward_uq import propagate, rmse_report
-from .mcmc import McmcConfig, PosteriorChain, diagnostics
+from .mcmc import McmcConfig, PosteriorChain, diagnostics  # noqa: F401 (traced name)
 from .sensitivity import oat_screen, sobol_indices
 from .synthbench import SynthConfig, code_model_arrays, generate_dataset
 
 SCREEN_NAMES = PARAMETER_NAMES + ("D1", "D2", "D3", "D4")
 SCREEN_RANGE = (0.0, 5.0)
-
-_DEFAULTS = {
-    "prior_lo": "0.05",
-    "prior_hi": "5.0",
-    "theta_design_size": "100",
-    "sobol_n_base": "4096",
-    "run_screen": "true",
-    "run_sobol": "false",
-    "screen_threshold": "1e-3",
-    "screen_points": "50",
-    "n_samples": "20000",
-    "n_burn": "4000",
-    "chains": "4",
-    "seed": "0",
-    "gp_restarts": "8",
-    "modes": "with_discrepancy,no_discrepancy",
-    "n_propagate": "500",
-    "thin": "10",
-}
-_REQUIRED = {"dataset_path", "out_dir"}
-_KNOWN = _REQUIRED | set(_DEFAULTS) | {"calibration_ids", "partition_file"}
-
-
-@dataclass
-class PipelineConfig:
-    dataset_path: str
-    out_dir: str
-    calibration_ids: list[int]
-    prior: PriorSpec
-    theta_design_size: int
-    sobol_n_base: int
-    run_screen: bool
-    run_sobol: bool
-    screen_threshold: float
-    screen_points: int
-    n_samples: int
-    n_burn: int
-    chains: int
-    seed: int
-    gp_restarts: int
-    modes: list[CalibrationMode]
-    n_propagate: int
-    thin: int
-    raw: dict = field(default_factory=dict)
-    input_digests: list[str] = field(default_factory=list)  # SHA-256 of input files
-
-    def hash(self) -> str:
-        # out_dir excluded so a run can be replayed into a fresh directory
-        items = {k: v for k, v in self.raw.items() if k != "out_dir"}
-        blob = "\n".join(f"{k} = {items[k]}" for k in sorted(items))
-        blob += "".join(f"\n{d}" for d in self.input_digests)
-        return hashlib.sha256(blob.encode()).hexdigest()[:16]
-
-
-def _sha256_file(path) -> str:
-    with open(path, "rb") as fh:
-        return hashlib.sha256(fh.read()).hexdigest()
 
 
 def _parse_bool(v: str) -> bool:
@@ -119,22 +59,64 @@ def _parse_bool(v: str) -> bool:
     raise ValueError(f"not a boolean: {v!r}")
 
 
-def read_partition_file(path) -> list[int]:
-    """Parse the one-line ``calibration = id1,id2,...`` partition format."""
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, _, val = line.partition("=")
-            if key.strip() != "calibration":
-                raise ValueError(f"unexpected key in partition file: {key.strip()!r}")
-            return [int(t) for t in val.split(",") if t.strip()]
-    raise ValueError("partition file has no 'calibration =' line")
+def _positive(v: str) -> int:
+    n = int(v)
+    if n <= 0:
+        raise ValueError("must be positive")
+    return n
 
 
-def load_config(path, out_override=None, seed_override=None) -> PipelineConfig:
-    raw = dict(_DEFAULTS)
+def _ids(v: str) -> list[int]:
+    return [int(t) for t in v.split(",") if t.strip()]
+
+
+def _modes(v: str) -> list[CalibrationMode]:
+    modes = [CalibrationMode(t.strip()) for t in v.split(",") if t.strip()]
+    if not modes:
+        raise ValueError("must be non-empty")
+    return modes
+
+
+_REQUIRED = object()
+# key -> (parser, default string); a None default makes the key optional
+_KEYS = {
+    "dataset_path": (str, _REQUIRED),
+    "out_dir": (str, _REQUIRED),
+    "calibration_ids": (_ids, None),
+    "partition_file": (str, None),
+    "prior_lo": (float, "0.05"),
+    "prior_hi": (float, "5.0"),
+    "theta_design_size": (_positive, "100"),
+    "sobol_n_base": (_positive, "4096"),
+    "run_screen": (_parse_bool, "true"),
+    "run_sobol": (_parse_bool, "false"),
+    "screen_threshold": (float, "1e-3"),
+    "screen_points": (_positive, "50"),
+    "n_samples": (_positive, "20000"),
+    "n_burn": (_positive, "4000"),
+    "chains": (_positive, "4"),
+    "seed": (int, "0"),
+    "gp_restarts": (_positive, "8"),
+    "modes": (_modes, "with_discrepancy,no_discrepancy"),
+    "n_propagate": (_positive, "500"),
+    "thin": (_positive, "10"),
+}
+
+
+class PipelineConfig(SimpleNamespace):
+    """A parsed attribute per _KEYS entry (None when left out), plus prior,
+    raw (strings after defaults and overrides) and input_digests."""
+
+    def hash(self) -> str:
+        # out_dir excluded so a run can be replayed into a fresh directory
+        items = {k: v for k, v in self.raw.items() if k != "out_dir"}
+        blob = "\n".join(f"{k} = {items[k]}" for k in sorted(items))
+        blob += "".join(f"\n{d}" for d in self.input_digests)
+        return hashlib.sha256(blob.encode()).hexdigest()[:16]
+
+
+def _key_values(path):
+    """(line number, key, value) per ``key = value`` line, skipping ``#`` comments."""
     with open(path) as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.strip()
@@ -143,131 +125,55 @@ def load_config(path, out_override=None, seed_override=None) -> PipelineConfig:
             if "=" not in line:
                 raise ValueError(f"{path}:{lineno}: expected 'key = value'")
             key, _, val = line.partition("=")
-            key, val = key.strip(), val.strip()
-            if key not in _KNOWN:
-                raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
-            raw[key] = val
-    for key in _REQUIRED:
-        if key not in raw:
+            yield lineno, key.strip(), val.strip()
+
+
+def read_partition_file(path) -> list[int]:
+    """Parse the one-line ``calibration = id1,id2,...`` partition format."""
+    for _, key, val in _key_values(path):
+        if key != "calibration":
+            raise ValueError(f"unexpected key in partition file: {key!r}")
+        return _ids(val)
+    raise ValueError("partition file has no 'calibration =' line")
+
+
+def load_config(path, out_override=None, seed_override=None) -> PipelineConfig:
+    raw = {k: d for k, (_, d) in _KEYS.items() if isinstance(d, str)}
+    for lineno, key, val in _key_values(path):
+        if key not in _KEYS:
+            raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
+        raw[key] = val
+    for key, (_, default) in _KEYS.items():
+        if default is _REQUIRED and key not in raw:
             raise ValueError(f"missing required config key {key!r}")
     if out_override:
         raw["out_dir"] = str(out_override)
     if seed_override is not None:
         raw["seed"] = str(int(seed_override))
 
-    if "calibration_ids" in raw and "partition_file" in raw:
-        raise ValueError("give either calibration_ids or partition_file, not both")
-    if "calibration_ids" in raw:
-        cal_ids = [int(t) for t in raw["calibration_ids"].split(",") if t.strip()]
-    elif "partition_file" in raw:
-        cal_ids = read_partition_file(raw["partition_file"])
-    else:
+    values = {}
+    for key, (parse, _) in _KEYS.items():
+        try:
+            values[key] = parse(raw[key]) if key in raw else None
+        except ValueError as exc:
+            raise ValueError(f"config value {key}: {exc}") from None
+    cfg = PipelineConfig(**values, raw=raw,
+                         prior=PriorSpec(values["prior_lo"], values["prior_hi"]))
+    if cfg.partition_file is not None:
+        if cfg.calibration_ids is not None:
+            raise ValueError("give either calibration_ids or partition_file, not both")
+        cfg.calibration_ids = read_partition_file(cfg.partition_file)
+    elif cfg.calibration_ids is None:
         raise ValueError("missing calibration_ids (or partition_file)")
-
-    modes = []
-    for tok in raw["modes"].split(","):
-        tok = tok.strip()
-        if tok:
-            modes.append(CalibrationMode(tok))
-    if not modes:
-        raise ValueError("modes must be non-empty")
-
-    cfg = PipelineConfig(
-        dataset_path=raw["dataset_path"],
-        out_dir=raw["out_dir"],
-        calibration_ids=cal_ids,
-        prior=PriorSpec(float(raw["prior_lo"]), float(raw["prior_hi"])),
-        theta_design_size=int(raw["theta_design_size"]),
-        sobol_n_base=int(raw["sobol_n_base"]),
-        run_screen=_parse_bool(raw["run_screen"]),
-        run_sobol=_parse_bool(raw["run_sobol"]),
-        screen_threshold=float(raw["screen_threshold"]),
-        screen_points=int(raw["screen_points"]),
-        n_samples=int(raw["n_samples"]),
-        n_burn=int(raw["n_burn"]),
-        chains=int(raw["chains"]),
-        seed=int(raw["seed"]),
-        gp_restarts=int(raw["gp_restarts"]),
-        modes=modes,
-        n_propagate=int(raw["n_propagate"]),
-        thin=int(raw["thin"]),
-        raw=raw,
-    )
-    for name in ("theta_design_size", "sobol_n_base", "screen_points", "n_samples",
-                 "n_burn", "chains", "n_propagate", "thin", "gp_restarts"):
-        if getattr(cfg, name) <= 0:
-            raise ValueError(f"config value {name} must be positive")
     if cfg.n_burn >= cfg.n_samples:
         raise ValueError("n_burn must be < n_samples")
     if not os.path.exists(cfg.dataset_path):
         raise ValueError(f"dataset file not found: {cfg.dataset_path}")
-    cfg.input_digests = [
-        _sha256_file(p) for p in (cfg.dataset_path, raw.get("partition_file")) if p
+    cfg.input_digests = [  # SHA-256 of the dataset and partition files
+        hashlib.sha256(Path(p).read_bytes()).hexdigest()
+        for p in (cfg.dataset_path, cfg.partition_file) if p
     ]
     return cfg
-
-
-# ---------------------------------------------------------------- dataset I/O
-
-def ingest_csv(path) -> list[ExperimentCase]:
-    """Parse and validate a dataset CSV in the standard case schema."""
-    with open(path) as fh:
-        lines = [ln.rstrip("\n") for ln in fh]
-    lines = [ln for ln in lines if ln and not ln.startswith("#")]
-    if not lines:
-        raise ValueError(f"{path}: empty file")
-    header = lines[0]
-    if header != DATASET_HEADER:
-        expected = DATASET_HEADER.split(",")
-        got = header.split(",")
-        missing = [c for c in expected if c not in got]
-        extra = [c for c in got if c not in expected]
-        detail = []
-        if missing:
-            detail.append(f"missing column(s) {missing}")
-        if extra:
-            detail.append(f"unexpected column(s) {extra}")
-        raise ValueError(
-            f"{path}: bad header ({'; '.join(detail) or 'wrong column order'}); "
-            f"expected '{DATASET_HEADER}'"
-        )
-    cases = []
-    seen = set()
-    for n, line in enumerate(lines[1:], 2):
-        tokens = line.split(",")
-        if len(tokens) != 9:
-            raise ValueError(f"{path}: line {n}: expected 9 fields, got {len(tokens)}")
-        try:
-            cid = int(tokens[0])
-            vals = [float(t) for t in tokens[1:]]
-        except ValueError:
-            raise ValueError(f"{path}: line {n}: unparseable value") from None
-        if cid in seen:
-            raise ValueError(f"{path}: line {n}: duplicate case_id {cid}")
-        seen.add(cid)
-        case = ExperimentCase(
-            case_id=cid,
-            x=BoundaryConditions(*vals[0:4]),
-            y_exp=VoidMeasurement(*vals[4:7]),
-            meas=MeasurementModel(sigma_exp=vals[7]),
-        )
-        try:
-            validate_case(case)
-        except ValueError as exc:
-            raise ValueError(f"{path}: line {n}: {exc}") from None
-        cases.append(case)
-    return cases
-
-
-def write_dataset_csv(cases, path) -> None:
-    with open(path, "w") as fh:
-        fh.write(DATASET_HEADER + "\n")
-        for c in cases:
-            row = [str(c.case_id)] + [
-                f"{v:.17g}"
-                for v in (*c.x.as_array(), *c.y_exp.as_array(), c.meas.sigma_exp)
-            ]
-            fh.write(",".join(row) + "\n")
 
 
 # ------------------------------------------------------------------ artifacts
@@ -276,25 +182,32 @@ def _hash_line(cfg_hash: str) -> str:
     return f"# config_hash={cfg_hash}\n"
 
 
-def _check_resume(path, cfg_hash: str, n_rows: int | None = None) -> bool:
-    """True if the artifact exists with a matching hash and, when n_rows is
-    given, a header and exactly n_rows complete rows after the hash line;
-    error on a hash mismatch. A file cut short, even inside its hash line,
-    counts as missing."""
-    if not os.path.exists(path):
-        return False
-    with open(path) as fh:
-        first = fh.readline()
-        body = fh.read() if n_rows is not None else ""
-    if not first.endswith("\n"):
-        return False
-    first = first.strip()
-    if first != f"# config_hash={cfg_hash}":
+def _hash_of(fh) -> str:
+    """The config hash on a text artifact's first line, which must be whole."""
+    first = fh.readline()
+    if not first.endswith(b"\n"):
+        raise ValueError("cut short inside its hash line")
+    return first.decode().strip().removeprefix("# config_hash=")
+
+
+def _reuse(path, cfg_hash: str, load):
+    """The artifact at path, or None when it is missing or cut short.
+
+    load(binary fh) returns (the hash found, the artifact or None when the
+    file is cut short); a ValueError from load also means cut short. A hash
+    other than cfg_hash is refused, so stale outputs are never mixed in.
+    """
+    try:
+        with open(path, "rb") as fh:
+            found, artifact = load(fh)
+    except (FileNotFoundError, ValueError):
+        return None
+    if found != cfg_hash:
         raise RuntimeError(
             f"resume refused: {path} was produced under a different config "
-            f"(found '{first}')"
+            f"(found hash {found!r})"
         )
-    return n_rows is None or (body.endswith("\n") and body.count("\n") == n_rows + 1)
+    return artifact
 
 
 def _replace(path, write) -> None:
@@ -308,277 +221,217 @@ def _replace(path, write) -> None:
             os.remove(tmp)
 
 
+def _cached(path, cfg_hash: str, load, compute, write):
+    """The artifact _reuse finds at path, else compute() stored by write."""
+    artifact = _reuse(path, cfg_hash, load)
+    if artifact is None:
+        artifact = compute()
+        write(path, artifact)
+    return artifact
+
+
 def _write_artifact(path, cfg_hash, lines) -> None:
     text = _hash_line(cfg_hash) + "".join(f"{line}\n" for line in lines)
     _replace(path, lambda tmp: Path(tmp).write_text(text))
 
 
-def _save_gp(model, path, cfg_hash) -> None:
-    _replace(path, lambda tmp: gp.save_model(model, tmp, {"config_hash": cfg_hash}))
+def _write_csv(path, cfg_hash, header: str, rows: list[tuple]) -> None:
+    """A hash-lined CSV: strings as they are, every number as %.17g. Each
+    column holds one type, so the first row sets the format of every row."""
+    first = rows[0] if rows else ()
+    fmt = ",".join("%s" if isinstance(v, str) else "%.17g" for v in first)
+    _write_artifact(path, cfg_hash, [header, *(fmt % tuple(row) for row in rows)])
 
 
-def _try_load_gp(path, cfg_hash):
-    if not os.path.exists(path):
-        return None
-    with open(path) as fh:
-        doc = json.load(fh)
-    if doc.get("config_hash") != cfg_hash:
-        raise RuntimeError(f"resume refused: {path} has a different config hash")
-    return gp.load_model(doc)
+def _table(names, *cols) -> list[tuple]:
+    """Rows (names[i], location j, col[i][j] for each col), names x locations."""
+    keys = [(name, loc) for name in names for loc in LOCATION_NAMES]
+    return [(*key, *vals)
+            for key, vals in zip(keys, zip(*(np.ravel(col).tolist() for col in cols)))]
 
 
-def _load_chain(path, n_samples, n_burn) -> PosteriorChain | None:
-    """The chain stored at path, or None when the file does not hold
-    n_samples complete rows (a chain cut short counts as missing)."""
-    with open(path, "rb") as fh:
+def _csv_loader(n_rows: int):
+    """Loader of a CSV artifact that is whole with a header and n_rows rows."""
+    def load(fh):
+        found, body = _hash_of(fh), fh.read()
+        return found, (body.endswith(b"\n") and body.count(b"\n") == n_rows + 1) or None
+    return load
+
+
+def _load_gp(fh):
+    doc = json.load(fh)  # parsed once: the hash and the model come from one read
+    return doc.get("config_hash"), gp.load_model(doc)
+
+
+def _chain_loader(n_samples: int, n_burn: int):
+    """Loader of a chain file that is whole with n_samples complete rows."""
+    def load(fh):
+        found = _hash_of(fh)
         fh.seek(-1, os.SEEK_END)
         if fh.read(1) != b"\n":
-            return None
-    arr = np.loadtxt(path, delimiter=",", skiprows=2, ndmin=2)  # hash line, header
-    if arr.shape[0] != n_samples:
-        return None
-    acc = arr[:, -1].astype(bool)
-    return PosteriorChain(
-        draws=arr[:, 1:-2],
-        log_posterior_values=arr[:, -2],
-        accepted=acc,
-        acceptance_rate=float(acc[n_burn:].mean()),
-        scale_history=[],
-        n_burn=n_burn,
-    )
+            return found, None
+        arr = np.loadtxt(fh.name, delimiter=",", skiprows=2, ndmin=2)  # hash, header
+        if arr.shape[0] != n_samples:
+            return found, None
+        acc = arr[:, -1].astype(bool)
+        return found, PosteriorChain(
+            draws=arr[:, 1:-2], log_posterior_values=arr[:, -2], accepted=acc,
+            acceptance_rate=float(acc[n_burn:].mean()), scale_history=[], n_burn=n_burn,
+        )
+    return load
 
 
 # ------------------------------------------------------------------- pipeline
 
-def _screen_runner(x: np.ndarray, theta8: np.ndarray) -> np.ndarray:
-    # parameters 5-8 are inert dummies, mirroring the screened-out catalog
-    return code_model_arrays(x, theta8[:, :4])
-
-
-def _write_summary_files(mode_dir, cfg_hash, result: CalibrationResult) -> None:
-    rows = [
-        f"{name},{s['mean']:.17g},{s['std']:.17g},{s['p2.5']:.17g},"
-        f"{s['p50']:.17g},{s['p97.5']:.17g}"
-        for name, s in result.summary.items()
-    ]
-    _write_artifact(os.path.join(mode_dir, "posterior_summary.csv"), cfg_hash,
-                    ["parameter,mean,std,p2.5,p50,p97.5", *rows])
-    corr_rows = [
-        PARAMETER_NAMES[i] + ","
-        + ",".join(f"{result.correlation[i, j]:.17g}" for j in range(4))
-        for i in range(4)
-    ]
-    _write_artifact(os.path.join(mode_dir, "posterior_correlation.csv"), cfg_hash,
-                    ["parameter," + ",".join(PARAMETER_NAMES), *corr_rows])
-    diag = result.diagnostics
-    lines = []
-    for j, name in enumerate(PARAMETER_NAMES):
-        lines.append(f"rhat {name} = {diag['rhat'][j]:.6f}")
-        lines.append(f"ess {name} = {diag['ess'][j]:.1f}")
-    for k, a in enumerate(diag["acceptance"]):
-        lines.append(f"acceptance chain_{k + 1} = {a:.4f}")
-    lines.append(f"converged = {result.converged}")
-    _write_artifact(os.path.join(mode_dir, "diagnostics.txt"), cfg_hash, lines)
-
-
-def _export_mode(mode_dir, cfg_hash, cfg, result, val_cases, summary, prior_val):
-    pooled = result.pooled_draws()
-    rows = []
-    keep = (len(result.chains[0].post_burn) // cfg.thin) * cfg.thin
-    for k, chain in enumerate(result.chains):
-        sub = chain.post_burn[:keep:cfg.thin]
-        for t, th in enumerate(sub):
-            rows.append(f"{k + 1},{t}," + ",".join(f"{v:.17g}" for v in th))
-    _write_artifact(os.path.join(mode_dir, "posterior_pairs.csv"), cfg_hash,
-                    ["chain,step," + ",".join(PARAMETER_NAMES), *rows])
-
-    rows = []
-    for j, name in enumerate(PARAMETER_NAMES):
-        counts, edges = np.histogram(pooled[:, j], bins=40)
-        for b in range(40):
-            rows.append(f"{name},{edges[b]:.17g},{edges[b + 1]:.17g},{counts[b]}")
-    _write_artifact(os.path.join(mode_dir, "posterior_marginals.csv"), cfg_hash,
-                    ["parameter,bin_lo,bin_hi,count", *rows])
-
-    rows = []
-    for i, case in enumerate(val_cases):
-        y = case.y_exp.as_array()
-        for j, loc in enumerate(LOCATION_NAMES):
-            rows.append(
-                f"{case.case_id},{loc},{y[j] - prior_val[i, j]:.17g},"
-                f"{y[j] - summary.mean[i, j]:.17g}"
-            )
-    _write_artifact(os.path.join(mode_dir, "validation_errors.csv"), cfg_hash,
-                    ["case_id,location,error_prior,error_posterior", *rows])
-
-
 def run_pipeline(config_path, out_override=None, seed_override=None, stages=None) -> int:
-    """Execute the pipeline; returns 0 on success, 2 on MCMC non-convergence."""
+    """Execute the named stages; returns 0 on success, 2 on MCMC non-convergence.
+
+    Without stages this is ``mbcal run``: calibrate, validate and export, plus
+    screen and sobol when the config's run_screen and run_sobol ask for them.
+    """
     cfg = load_config(config_path, out_override, seed_override)
     cfg_hash = cfg.hash()
     os.makedirs(cfg.out_dir, exist_ok=True)
-    all_stages = {"screen", "sobol", "calibrate", "validate", "export"}
-    stages = set(stages) if stages else all_stages
+    stages = set(stages) if stages else (
+        {"calibrate", "validate", "export"}
+        | ({"screen"} if cfg.run_screen else set())
+        | ({"sobol"} if cfg.run_sobol else set())
+    )
 
-    def stage_wrap(name, fn):
+    @contextmanager
+    def stage(name):
         try:
-            return fn()
+            yield
         except Exception as exc:
             raise RuntimeError(f"stage '{name}' failed: {exc}") from exc
 
-    cases = stage_wrap("ingest", lambda: ingest_csv(cfg.dataset_path))
-    partition = stage_wrap(
-        "partition", lambda: partition_dataset(cases, cfg.calibration_ids)
-    )
+    def out(*parts):
+        return os.path.join(cfg.out_dir, *parts)
+
+    with stage("ingest"):
+        cases = ingest_csv(cfg.dataset_path)
+    with stage("partition"):
+        partition = partition_dataset(cases, cfg.calibration_ids)
     by_id = {c.case_id: c for c in cases}
-    cal_cases = [by_id[i] for i in sorted(partition.calibration_ids)]
     val_cases = [by_id[i] for i in sorted(partition.validation_ids)]
-    x_fixed = cal_cases[0].x
+    x_fixed = by_id[min(partition.calibration_ids)].x.as_array()
 
-    manifest = os.path.join(cfg.out_dir, "manifest.txt")
-    _check_resume(manifest, cfg_hash)  # refuse before overwriting anything
-    _write_artifact(manifest, cfg_hash, [f"{k} = {cfg.raw[k]}" for k in sorted(cfg.raw)])
+    # refuse before overwriting anything
+    _reuse(out("manifest.txt"), cfg_hash, lambda fh: (_hash_of(fh), True))
+    _write_artifact(out("manifest.txt"), cfg_hash,
+                    [f"{k} = {cfg.raw[k]}" for k in sorted(cfg.raw)])
 
-    if cfg.run_screen and "screen" in stages:
-        path = os.path.join(cfg.out_dir, "screening.csv")
-        if not _check_resume(path, cfg_hash,
-                             n_rows=len(SCREEN_NAMES) * len(LOCATION_NAMES)):
-            def do_screen():
-                res = oat_screen(
-                    _screen_runner, x_fixed.as_array(), [SCREEN_RANGE] * 8,
-                    n=cfg.screen_points, threshold=cfg.screen_threshold,
-                    names=SCREEN_NAMES,
-                )
-                rows = []
-                for i, name in enumerate(res.names):
-                    sel = int(name in res.selected)
-                    for j, loc in enumerate(LOCATION_NAMES):
-                        rows.append(f"{name},{loc},{res.variances[i, j]:.17g},{sel}")
-                _write_artifact(path, cfg_hash, ["parameter,output,variance,selected", *rows])
-            stage_wrap("screen", do_screen)
+    if "screen" in stages:
+        with stage("screen"):
+            _cached(
+                out("screening.csv"), cfg_hash,
+                _csv_loader(len(SCREEN_NAMES) * len(LOCATION_NAMES)),
+                # parameters 5-8 are inert dummies, mirroring the screened-out catalog
+                lambda: oat_screen(
+                    lambda x, theta8: code_model_arrays(x, theta8[:, :4]), x_fixed,
+                    [SCREEN_RANGE] * 8, n=cfg.screen_points,
+                    threshold=cfg.screen_threshold, names=SCREEN_NAMES,
+                ),
+                lambda path, res: _write_csv(
+                    path, cfg_hash, "parameter,output,variance,selected",
+                    _table(res.names, res.variances,
+                           [[int(n in res.selected)] * 3 for n in res.names]),
+                ),
+            )
 
-    if cfg.run_sobol and "sobol" in stages:
-        path = os.path.join(cfg.out_dir, "sobol.csv")
-        if not _check_resume(path, cfg_hash,
-                             n_rows=len(PARAMETER_NAMES) * len(LOCATION_NAMES)):
-            def do_sobol():
-                res = sobol_indices(
-                    lambda th: code_model_arrays(
-                        np.broadcast_to(x_fixed.as_array(), th.shape), th
-                    ),
+    if "sobol" in stages:
+        with stage("sobol"):
+            _cached(
+                out("sobol.csv"), cfg_hash,
+                _csv_loader(len(PARAMETER_NAMES) * len(LOCATION_NAMES)),
+                lambda: sobol_indices(
+                    lambda th: code_model_arrays(np.broadcast_to(x_fixed, th.shape), th),
                     cfg.prior.ranges, cfg.sobol_n_base, seed=cfg.seed,
-                )
-                rows = []
-                for i, name in enumerate(PARAMETER_NAMES):
-                    for j, loc in enumerate(LOCATION_NAMES):
-                        rows.append(
-                            f"{name},{loc},{res.first_order[i, j]:.17g},"
-                            f"{res.total[i, j]:.17g}"
-                        )
-                _write_artifact(path, cfg_hash, ["parameter,output,first_order,total", *rows])
-            stage_wrap("sobol", do_sobol)
+                ),
+                lambda path, res: _write_csv(
+                    path, cfg_hash, "parameter,output,first_order,total",
+                    _table(PARAMETER_NAMES, res.first_order, res.total),
+                ),
+            )
 
-    exit_code = 0
-    need_calibration = stages & {"calibrate", "validate", "export"}
-    results: dict[CalibrationMode, CalibrationResult] = {}
-    if need_calibration:
-        gp_cc_path = os.path.join(cfg.out_dir, "gp_cc.json")
-        gp_cc = stage_wrap("calibrate", lambda: _try_load_gp(gp_cc_path, cfg_hash))
-        if gp_cc is None:
-            gp_cc = stage_wrap("calibrate", lambda: build_gp_cc(
-                partition, cases, code_model_arrays, cfg.theta_design_size, cfg.prior,
-                seed=cfg.seed, restarts=cfg.gp_restarts,
-            ))
-            _save_gp(gp_cc, gp_cc_path, cfg_hash)
+    if not stages & {"calibrate", "validate", "export"}:
+        return 0
 
+    def save_gp(path, model):
+        _replace(path, lambda tmp: gp.save_model(model, tmp, {"config_hash": cfg_hash}))
+
+    mcmc_cfg = McmcConfig(
+        init=np.ones(4),
+        initial_proposal_cov=np.eye(4) * (0.05 * (cfg.prior.hi - cfg.prior.lo)) ** 2,
+        n_samples=cfg.n_samples, n_burn=cfg.n_burn, seed=cfg.seed,
+    )
+    load_chain = _chain_loader(cfg.n_samples, cfg.n_burn)
+    results = {}
+    with stage("calibrate"):
+        gp_cc = _cached(out("gp_cc.json"), cfg_hash, _load_gp, lambda: build_gp_cc(
+            partition, cases, code_model_arrays, cfg.theta_design_size, cfg.prior,
+            seed=cfg.seed, restarts=cfg.gp_restarts,
+        ), save_gp)
         for mode in cfg.modes:
-            mode_dir = os.path.join(cfg.out_dir, mode.value)
-            os.makedirs(mode_dir, exist_ok=True)
-
+            os.makedirs(out(mode.value), exist_ok=True)
             gp_md = None
             if mode is CalibrationMode.WithDiscrepancy:
-                gp_md_path = os.path.join(mode_dir, "gp_md.json")
-                gp_md = stage_wrap("calibrate", lambda: _try_load_gp(gp_md_path, cfg_hash))
-                if gp_md is None:
-                    gp_md = stage_wrap("calibrate", lambda: build_gp_md(
-                        partition, cases, code_model_arrays,
-                        restarts=cfg.gp_restarts, seed=cfg.seed + 1,
-                    ))
-                    _save_gp(gp_md, gp_md_path, cfg_hash)
+                gp_md = _cached(out(mode.value, "gp_md.json"), cfg_hash, _load_gp,
+                                lambda: build_gp_md(partition, cases, code_model_arrays,
+                                                    restarts=cfg.gp_restarts,
+                                                    seed=cfg.seed + 1), save_gp)
             pair = SurrogatePair(gp_cc=gp_cc, gp_md=gp_md)
-
-            chain_paths = [
-                os.path.join(mode_dir, f"chain_{k + 1}.csv")
-                for k in range(cfg.chains)
-            ]
-            chains = [_load_chain(p, cfg.n_samples, cfg.n_burn)
-                      for p in chain_paths if _check_resume(p, cfg_hash)]
-            if len(chains) == cfg.chains and all(c is not None for c in chains):
-                diag = diagnostics(chains)
-                from .calibration import _summarize  # same summary path as a fresh run
-                pooled = np.concatenate([c.post_burn for c in chains])
-                summary, corr = _summarize(pooled, PARAMETER_NAMES)
-                result = CalibrationResult(
-                    mode=mode, pair=pair, chains=chains, diagnostics=diag,
-                    summary=summary, correlation=corr,
-                    converged=bool(np.all(diag["rhat"] < 1.1)),
-                )
+            paths = [out(mode.value, f"chain_{k + 1}.csv") for k in range(cfg.chains)]
+            chains = [_reuse(p, cfg_hash, load_chain) for p in paths]
+            if all(c is not None for c in chains):
+                result = summarize(mode, pair, chains)
             else:
-                width = cfg.prior.hi - cfg.prior.lo
-                mcmc_cfg = McmcConfig(
-                    init=np.ones(4),
-                    initial_proposal_cov=np.eye(4) * (0.05 * width) ** 2,
-                    n_samples=cfg.n_samples,
-                    n_burn=cfg.n_burn,
-                    seed=cfg.seed,
-                )
-                result = stage_wrap("calibrate", lambda: calibrate(
-                    cases, partition, code_model_arrays, mode, prior=cfg.prior,
-                    theta_design_size=cfg.theta_design_size,
-                    mcmc_config=mcmc_cfg, n_chains=cfg.chains, seed=cfg.seed,
-                    gp_restarts=cfg.gp_restarts, pair=pair,
-                ))
-                for p, chain in zip(chain_paths, result.chains):
+                result = calibrate(pair, cases, partition, mode, cfg.prior, mcmc_cfg,
+                                   cfg.chains)
+                for p, chain in zip(paths, result.chains):
                     _replace(p, lambda tmp: chain.to_csv(
                         tmp, header_extra=_hash_line(cfg_hash)))
-            _write_summary_files(mode_dir, cfg_hash, result)
+            stats = ("mean", "std", "p2.5", "p50", "p97.5")
+            _write_csv(out(mode.value, "posterior_summary.csv"), cfg_hash,
+                       "parameter," + ",".join(stats),
+                       [(n, *(s[k] for k in stats)) for n, s in result.summary.items()])
+            _write_csv(out(mode.value, "posterior_correlation.csv"), cfg_hash,
+                       "parameter," + ",".join(PARAMETER_NAMES),
+                       [(n, *row) for n, row in zip(PARAMETER_NAMES, result.correlation)])
+            diag = result.diagnostics
+            lines = []
+            for j, name in enumerate(PARAMETER_NAMES):
+                lines.append(f"rhat {name} = {diag['rhat'][j]:.6f}")
+                lines.append(f"ess {name} = {diag['ess'][j]:.1f}")
+            for k, a in enumerate(diag["acceptance"]):
+                lines.append(f"acceptance chain_{k + 1} = {a:.4f}")
+            lines.append(f"converged = {result.converged}")
+            _write_artifact(out(mode.value, "diagnostics.txt"), cfg_hash, lines)
             results[mode] = result
-            if not result.converged:
-                exit_code = 2
 
     if stages & {"validate", "export"}:
+        ids_val = [c.case_id for c in val_cases]
         xs_val = np.array([c.x.as_array() for c in val_cases])
+        y_val = np.array([c.y_exp.as_array() for c in val_cases])
+        sigma_val = np.array([[c.meas.sigma_exp] for c in val_cases])
         prior_val = code_model_arrays(xs_val, np.ones_like(xs_val))
         for mode, result in results.items():
-            mode_dir = os.path.join(cfg.out_dir, mode.value)
             pooled = result.pooled_draws()
-            n_use = min(cfg.n_propagate, pooled.shape[0])
-            summary = stage_wrap("validate", lambda: propagate(
-                code_model_arrays, val_cases, pooled, n_use=n_use
-            ))
-            report = stage_wrap("validate", lambda: rmse_report(
-                summary, prior_val, val_cases
-            ))
-
+            with stage("validate"):
+                summary = propagate(code_model_arrays, val_cases, pooled,
+                                    n_use=min(cfg.n_propagate, pooled.shape[0]))
+                report = rmse_report(summary, prior_val, val_cases)
             if "validate" in stages:
-                rows = []
-                for i, case in enumerate(val_cases):
-                    y = case.y_exp.as_array()
-                    band_lo = summary.p025[i] - 2 * case.meas.sigma_exp
-                    band_hi = summary.p975[i] + 2 * case.meas.sigma_exp
-                    for j, loc in enumerate(LOCATION_NAMES):
-                        cov = int(band_lo[j] <= y[j] <= band_hi[j])
-                        rows.append(
-                            f"{case.case_id},{loc},{y[j]:.17g},{prior_val[i, j]:.17g},"
-                            f"{summary.mean[i, j]:.17g},{summary.std[i, j]:.17g},"
-                            f"{summary.p025[i, j]:.17g},{summary.p975[i, j]:.17g},{cov}"
-                        )
-                _write_artifact(
-                    os.path.join(mode_dir, "validation_report.csv"), cfg_hash,
-                    ["case_id,location,y_exp,y_prior,y_post_mean,y_post_std,"
-                     "p2.5,p97.5,covered", *rows],
+                covered = ((summary.p025 - 2 * sigma_val <= y_val)
+                           & (y_val <= summary.p975 + 2 * sigma_val))
+                _write_csv(
+                    out(mode.value, "validation_report.csv"), cfg_hash,
+                    "case_id,location,y_exp,y_prior,y_post_mean,y_post_std,"
+                    "p2.5,p97.5,covered",
+                    _table(ids_val, y_val, prior_val, summary.mean, summary.std,
+                           summary.p025, summary.p975, covered.astype(int)),
                 )
-                _write_artifact(os.path.join(mode_dir, "rmse_summary.txt"), cfg_hash, [
+                _write_artifact(out(mode.value, "rmse_summary.txt"), cfg_hash, [
                     f"rmse y_M(theta=1) = {report.rmse_prior:.6f}",
                     f"rmse y_M(theta_post) {mode.value} = {report.rmse_posterior:.6f}",
                     f"coverage_95 = {report.coverage_95:.4f}",
@@ -586,46 +439,41 @@ def run_pipeline(config_path, out_override=None, seed_override=None, stages=None
                 if mode is CalibrationMode.WithDiscrepancy and result.pair.gp_md:
                     # supplementary: code + learned discrepancy predictions
                     md_mean, _ = gp.predict(result.pair.gp_md, xs_val)
-                    rows = []
-                    for i, case in enumerate(val_cases):
-                        y = case.y_exp.as_array()
-                        for j, loc in enumerate(LOCATION_NAMES):
-                            rows.append(
-                                f"{case.case_id},{loc},{y[j]:.17g},"
-                                f"{summary.mean[i, j] + md_mean[i, j]:.17g}"
-                            )
-                    _write_artifact(
-                        os.path.join(mode_dir, "validation_with_discrepancy.csv"),
-                        cfg_hash, ["case_id,location,y_exp,y_post_plus_md", *rows],
-                    )
+                    _write_csv(out(mode.value, "validation_with_discrepancy.csv"),
+                               cfg_hash, "case_id,location,y_exp,y_post_plus_md",
+                               _table(ids_val, y_val, summary.mean + md_mean))
 
             if "export" in stages:
-                _export_mode(mode_dir, cfg_hash, cfg, result, val_cases,
-                             summary, prior_val)
+                keep = (len(result.chains[0].post_burn) // cfg.thin) * cfg.thin
+                pairs = [(k + 1, t, *th) for k, chain in enumerate(result.chains)
+                         for t, th in enumerate(chain.post_burn[:keep:cfg.thin].tolist())]
+                _write_csv(out(mode.value, "posterior_pairs.csv"), cfg_hash,
+                           "chain,step," + ",".join(PARAMETER_NAMES), pairs)
+                rows = []
+                for j, name in enumerate(PARAMETER_NAMES):
+                    counts, edges = np.histogram(pooled[:, j], bins=40)
+                    rows += [(name, edges[b], edges[b + 1], counts[b]) for b in range(40)]
+                _write_csv(out(mode.value, "posterior_marginals.csv"), cfg_hash,
+                           "parameter,bin_lo,bin_hi,count", rows)
+                _write_csv(out(mode.value, "validation_errors.csv"), cfg_hash,
+                           "case_id,location,error_prior,error_posterior",
+                           _table(ids_val, y_val - prior_val, y_val - summary.mean))
 
     if "export" in stages:
         xs = np.array([c.x.as_array() for c in cases])
-        pred = code_model_arrays(xs, np.ones_like(xs))
-        rows = []
-        for i, case in enumerate(cases):
-            y = case.y_exp.as_array()
-            for j, loc in enumerate(LOCATION_NAMES):
-                rows.append(f"{case.case_id},{loc},{y[j]:.17g},{pred[i, j]:.17g}")
-        _write_artifact(os.path.join(cfg.out_dir, "scatter_prior.csv"), cfg_hash,
-                        ["case_id,location,y_exp,y_prior", *rows])
+        _write_csv(out("scatter_prior.csv"), cfg_hash, "case_id,location,y_exp,y_prior",
+                   _table([c.case_id for c in cases],
+                          [c.y_exp.as_array() for c in cases],
+                          code_model_arrays(xs, np.ones_like(xs))))
 
-    return exit_code
+    return 0 if all(r.converged for r in results.values()) else 2
 
 
 # ------------------------------------------------------------------------ CLI
 
 def _cmd_synth_gen(args) -> int:
-    config = SynthConfig(
-        discrepancy_on=not args.no_discrepancy,
-        sigma_exp=args.sigma,
-        n_cases=args.n_cases,
-        seed=args.seed,
-    )
+    config = SynthConfig(discrepancy_on=not args.no_discrepancy, sigma_exp=args.sigma,
+                         n_cases=args.n_cases, seed=args.seed)
     cases = generate_dataset(config)
     write_dataset_csv(cases, args.out)
     # ground-truth sidecar: for tests only, never read by the pipeline
@@ -639,10 +487,8 @@ def _cmd_synth_gen(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="mbcal",
-        description="Modular Bayesian calibration pipeline",
-    )
+    parser = argparse.ArgumentParser(prog="mbcal",
+                                     description="Modular Bayesian calibration pipeline")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("synth-gen", help="generate a synthetic benchmark dataset")

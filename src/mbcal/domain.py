@@ -1,8 +1,9 @@
 """Core data model: cases, parameters, datasets and the calibration split.
 
-All types are immutable after construction; operations are pure functions.
-Boundary conditions are stored normalized to [0, 1] -- any affine map to
-physical units is dataset metadata, not part of this model.
+All types are immutable after construction; operations other than the
+dataset CSV reader and writer (ingest_csv, write_dataset_csv) are pure
+functions. Boundary conditions are stored normalized to [0, 1] -- any
+affine map to physical units is dataset metadata, not part of this model.
 """
 
 from __future__ import annotations
@@ -23,6 +24,8 @@ __all__ = [
     "BC_NAMES",
     "DATASET_HEADER",
     "validate_case",
+    "ingest_csv",
+    "write_dataset_csv",
     "partition_dataset",
     "suggest_calibration_ids",
 ]
@@ -117,6 +120,68 @@ def validate_case(case: ExperimentCase) -> ExperimentCase:
     if case.meas.sigma_exp <= 0.0:
         raise ValueError("nonpositive measurement sigma")
     return case
+
+
+def ingest_csv(path) -> list[ExperimentCase]:
+    """Parse and validate a dataset CSV in the standard case schema."""
+    with open(path) as fh:
+        lines = [ln.rstrip("\n") for ln in fh]
+    lines = [ln for ln in lines if ln and not ln.startswith("#")]
+    if not lines:
+        raise ValueError(f"{path}: empty file")
+    header = lines[0]
+    if header != DATASET_HEADER:
+        expected = DATASET_HEADER.split(",")
+        got = header.split(",")
+        missing = [c for c in expected if c not in got]
+        extra = [c for c in got if c not in expected]
+        detail = []
+        if missing:
+            detail.append(f"missing column(s) {missing}")
+        if extra:
+            detail.append(f"unexpected column(s) {extra}")
+        raise ValueError(
+            f"{path}: bad header ({'; '.join(detail) or 'wrong column order'}); "
+            f"expected '{DATASET_HEADER}'"
+        )
+    cases = []
+    seen = set()
+    for n, line in enumerate(lines[1:], 2):
+        tokens = line.split(",")
+        if len(tokens) != 9:
+            raise ValueError(f"{path}: line {n}: expected 9 fields, got {len(tokens)}")
+        try:
+            cid = int(tokens[0])
+            vals = [float(t) for t in tokens[1:]]
+        except ValueError:
+            raise ValueError(f"{path}: line {n}: unparseable value") from None
+        if cid in seen:
+            raise ValueError(f"{path}: line {n}: duplicate case_id {cid}")
+        seen.add(cid)
+        case = ExperimentCase(
+            case_id=cid,
+            x=BoundaryConditions(*vals[0:4]),
+            y_exp=VoidMeasurement(*vals[4:7]),
+            meas=MeasurementModel(sigma_exp=vals[7]),
+        )
+        try:
+            validate_case(case)
+        except ValueError as exc:
+            raise ValueError(f"{path}: line {n}: {exc}") from None
+        cases.append(case)
+    return cases
+
+
+def write_dataset_csv(cases, path) -> None:
+    """Write cases in the schema ingest_csv reads; floats round-trip exactly."""
+    with open(path, "w") as fh:
+        fh.write(DATASET_HEADER + "\n")
+        for c in cases:
+            row = [str(c.case_id)] + [
+                f"{v:.17g}"
+                for v in (*c.x.as_array(), *c.y_exp.as_array(), c.meas.sigma_exp)
+            ]
+            fh.write(",".join(row) + "\n")
 
 
 def partition_dataset(cases, calibration_ids) -> Partition:

@@ -6,8 +6,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import LOCATION_NAMES
-
 __all__ = ["PredictiveSummary", "ValidationReport", "propagate", "rmse_report"]
 
 
@@ -25,7 +23,6 @@ class PredictiveSummary:
 class ValidationReport:
     rmse_prior: float
     rmse_posterior: float
-    per_location_rmse: dict      # location -> (prior, posterior)
     coverage_95: float
 
 
@@ -78,17 +75,10 @@ def rmse_report(summary: PredictiveSummary, prior_outputs: np.ndarray, cases) ->
 
     r_post = y - summary.mean
     r_prior = y - prior_outputs
-    per_loc = {}
-    for j, loc in enumerate(LOCATION_NAMES):
-        per_loc[loc] = (
-            float(np.sqrt(np.mean(r_prior[:, j] ** 2))),
-            float(np.sqrt(np.mean(r_post[:, j] ** 2))),
-        )
     sig = np.array([c.meas.sigma_exp for c in cases])[:, None]
     covered = (y >= summary.p025 - 2 * sig) & (y <= summary.p975 + 2 * sig)
     return ValidationReport(
         rmse_prior=float(np.sqrt(np.mean(r_prior**2))),
         rmse_posterior=float(np.sqrt(np.mean(r_post**2))),
-        per_location_rmse=per_loc,
         coverage_95=float(covered.mean()),
     )

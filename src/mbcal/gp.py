@@ -31,7 +31,6 @@ __all__ = [
     "predict",
     "SplitPredictor",
     "loo_cv",
-    "log_marginal_likelihood",
     "lml_and_grad",
     "build_model",
     "save_model",
@@ -124,10 +123,10 @@ def kernel_matrix(kc: KernelConfig, a: np.ndarray, b: np.ndarray | None = None) 
 def _chol_with_escalation(kc: KernelConfig, x: np.ndarray):
     """Cholesky of K; on failure multiply the nugget by 10 up to the ceiling."""
     nugget = kc.nugget
-    kse = kc.signal_variance * np.exp(-0.5 * _sq_dists(x, x, kc.lengthscales))
+    k = kc.signal_variance * np.exp(-0.5 * _sq_dists(x, x, kc.lengthscales))
+    k_diag = k.diagonal().copy()
     while True:
-        k = kse.copy()
-        k[np.diag_indices_from(k)] += nugget
+        k[np.diag_indices_from(k)] = k_diag + nugget
         try:
             low = cholesky(k, lower=True)
             return low, KernelConfig(kc.lengthscales, kc.signal_variance, nugget)
@@ -140,17 +139,15 @@ def _chol_with_escalation(kc: KernelConfig, x: np.ndarray):
             nugget = min(nugget * 10.0, NUGGET_CEIL)
 
 
-def log_marginal_likelihood(kc: KernelConfig, x: np.ndarray, y: np.ndarray) -> float:
-    """Direct LML: -1/2 y^T K^-1 y - 1/2 log|K| - n/2 log(2 pi)."""
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    y = np.asarray(y, dtype=float).ravel()
-    n = x.shape[0]
-    k = kernel_matrix(kc, x)
-    low = cholesky(k, lower=True)
-    alpha = cho_solve((low, True), y)
-    return float(
-        -0.5 * y @ alpha - np.sum(np.log(np.diag(low))) - 0.5 * n * np.log(2 * np.pi)
-    )
+def _factorize(model: GpModel) -> GpModel:
+    """Fill model.chols and model.alphas, one per output; a kernel whose
+    matrix needs a larger nugget to factorize is stored with that nugget."""
+    model.chols, model.alphas = [], []
+    for j, kc in enumerate(model.kernels):
+        low, model.kernels[j] = _chol_with_escalation(kc, model.x)
+        model.chols.append(low)
+        model.alphas.append(cho_solve((low, True), model.y[:, j]))
+    return model
 
 
 def lml_and_grad(log_params: np.ndarray, x: np.ndarray, y: np.ndarray):
@@ -295,30 +292,22 @@ def fit(
         lml_best = -best.fun
         if lml_and_grad(p_clamp, x, yj)[0] >= lml_best - 1e-7 * (1 + abs(lml_best)):
             p = p_clamp
-        kc = KernelConfig(np.exp(p[:d]), float(np.exp(p[d])), float(np.exp(p[d + 1])))
-        low, kc = _chol_with_escalation(kc, x)
-        model.kernels.append(kc)
-        model.chols.append(low)
-        model.alphas.append(cho_solve((low, True), yj))
+        model.kernels.append(
+            KernelConfig(np.exp(p[:d]), float(np.exp(p[d])), float(np.exp(p[d + 1])))
+        )
         lmls.append(-best.fun)
     model.lml = np.array(lmls)
-    return model
+    return _factorize(model)
 
 
 def build_model(inputs, outputs, kernels) -> GpModel:
     """Assemble a GpModel with fixed hyperparameters (no optimization)."""
     inputs, outputs = _training_arrays(inputs, outputs)
     x, y, in_lo, in_span, out_mean, out_std = _standardize(inputs, outputs)
-    model = GpModel(
+    return _factorize(GpModel(
         x=x, y=y, kernels=list(kernels), in_lo=in_lo, in_span=in_span,
         out_mean=out_mean, out_std=out_std,
-    )
-    for j, kc in enumerate(model.kernels):
-        low, kc = _chol_with_escalation(kc, x)
-        model.kernels[j] = kc
-        model.chols.append(low)
-        model.alphas.append(cho_solve((low, True), y[:, j]))
-    return model
+    ))
 
 
 def predict(model: GpModel, points: np.ndarray):
@@ -473,7 +462,7 @@ def load_model(source) -> GpModel:
             doc = json.load(fh)
     if doc.get("format") != "mbcal-gp-1":
         raise ValueError("unrecognized GP model file")
-    model = GpModel(
+    return _factorize(GpModel(
         x=np.array(doc["x"], dtype=float),
         y=np.array(doc["y"], dtype=float),
         kernels=[
@@ -489,10 +478,4 @@ def load_model(source) -> GpModel:
         out_mean=np.array(doc["out_mean"], dtype=float),
         out_std=np.array(doc["out_std"], dtype=float),
         lml=np.array(doc["lml"], dtype=float) if doc["lml"] is not None else None,
-    )
-    for j, kc in enumerate(model.kernels):
-        k = kernel_matrix(kc, model.x)
-        low = cholesky(k, lower=True)
-        model.chols.append(low)
-        model.alphas.append(cho_solve((low, True), model.y[:, j]))
-    return model
+    ))

@@ -41,13 +41,6 @@ class Design:
     def d(self) -> int:
         return self.points.shape[1]
 
-    def to_csv(self, path) -> None:
-        header = ",".join(f"p{j + 1}" for j in range(self.d))
-        with open(path, "w") as fh:
-            fh.write(header + "\n")
-            for row in self.points:
-                fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
-
 
 def _check_ranges(ranges) -> tuple[tuple[float, float], ...]:
     out = []

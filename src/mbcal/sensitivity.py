@@ -19,16 +19,6 @@ class ScreeningResult:
     threshold: float
     selected: tuple[str, ...]  # names whose max-over-outputs variance > threshold
 
-    def to_csv(self, path, output_names=None) -> None:
-        m = self.variances.shape[1]
-        outs = output_names or [f"out{j + 1}" for j in range(m)]
-        with open(path, "w") as fh:
-            fh.write("parameter,output,variance,selected\n")
-            for i, name in enumerate(self.names):
-                sel = name in self.selected
-                for j in range(m):
-                    fh.write(f"{name},{outs[j]},{self.variances[i, j]:.17g},{int(sel)}\n")
-
 
 @dataclass(frozen=True)
 class SobolResult:
@@ -36,19 +26,6 @@ class SobolResult:
     total: np.ndarray        # (d, m)
     n_base: int
     seed: int
-
-    def to_csv(self, path, names=None, output_names=None) -> None:
-        d, m = self.first_order.shape
-        nms = names or [f"p{i + 1}" for i in range(d)]
-        outs = output_names or [f"out{j + 1}" for j in range(m)]
-        with open(path, "w") as fh:
-            fh.write("parameter,output,first_order,total\n")
-            for i in range(d):
-                for j in range(m):
-                    fh.write(
-                        f"{nms[i]},{outs[j]},{self.first_order[i, j]:.17g},"
-                        f"{self.total[i, j]:.17g}\n"
-                    )
 
 
 def oat_screen(runner, x_fixed, ranges, n: int, threshold: float, names=None) -> ScreeningResult:

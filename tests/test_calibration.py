@@ -221,21 +221,20 @@ def test_variance_inflation_flattens_posterior(setup, pair):
 
 def test_calibrate_needs_two_chains(setup, pair):
     cases, part = setup
+    mc = McmcConfig(init=np.ones(4), initial_proposal_cov=np.eye(4) * 0.06,
+                    n_samples=100, n_burn=50)
     with pytest.raises(ValueError, match="chains"):
-        calibrate(cases, part, runner, CalibrationMode.NoDiscrepancy,
-                  n_chains=1, pair=pair)
+        calibrate(pair, cases, part, CalibrationMode.NoDiscrepancy, PriorSpec(), mc, 1)
 
 
 def test_calibrate_posterior_structure(setup, pair):
     cases, part = setup
     mc = McmcConfig(init=np.ones(4), initial_proposal_cov=np.eye(4) * 0.06,
                     n_samples=4000, n_burn=1000, seed=3)
-    res_w = calibrate(cases, part, runner, CalibrationMode.WithDiscrepancy,
-                      mcmc_config=mc, n_chains=2, seed=5, pair=pair)
-    res_n = calibrate(
-        cases, part, runner, CalibrationMode.NoDiscrepancy, mcmc_config=mc,
-        n_chains=2, seed=5, pair=SurrogatePair(gp_cc=pair.gp_cc),
-    )
+    res_w = calibrate(pair, cases, part, CalibrationMode.WithDiscrepancy, PriorSpec(),
+                      mc, n_chains=2)
+    res_n = calibrate(SurrogatePair(gp_cc=pair.gp_cc), cases, part,
+                      CalibrationMode.NoDiscrepancy, PriorSpec(), mc, n_chains=2)
     assert res_w.correlation[0, 1] < -0.2
     assert res_n.correlation[0, 1] < -0.2
     narrower = sum(

@@ -270,6 +270,7 @@ def test_pipeline_artifacts_exist(small_run):
             assert (d / name).exists(), name
     assert (out / "with_discrepancy" / "gp_md.json").exists()
     assert not (out / "no_discrepancy" / "gp_md.json").exists()
+    assert not (out / "sobol.csv").exists()  # run_sobol defaults to false
 
 
 def test_pipeline_artifacts_carry_hash(small_run):
@@ -398,6 +399,17 @@ def test_pipeline_sobol_stage(tmp_path, dataset):
     assert len(lines) == 2 + 4 * 3
 
 
+def test_pipeline_sobol_stage_runs_without_run_sobol(tmp_path, dataset):
+    # a stage subcommand runs the stage it names; run_sobol only decides
+    # whether `mbcal run` includes it
+    out = tmp_path / "out"
+    cfg_path = write_config(tmp_path / "c.cfg", dataset, out, sobol_n_base="64")
+    assert load_config(cfg_path).run_sobol is False
+    assert run_pipeline(cfg_path, stages={"sobol"}) == 0
+    lines = open(out / "sobol.csv").read().splitlines()
+    assert len(lines) == 2 + 4 * 3
+
+
 def test_pipeline_stage_error_names_stage(tmp_path, dataset):
     out = tmp_path / "out"
     # calibration ids missing from the dataset -> partition stage failure
@@ -416,19 +428,23 @@ def test_main_reports_errors(tmp_path, capsys):
 @pytest.mark.parametrize("name, stage, extra", [
     ("screening.csv", "screen", {}),
     ("sobol.csv", "sobol", {"run_sobol": "true", "sobol_n_base": "64"}),
+    ("gp_cc.json", "calibrate", {}),
+    ("with_discrepancy/gp_md.json", "calibrate", {}),
 ])
 def test_pipeline_resume_recomputes_short_fixed_row_artifact(tmp_path, dataset,
                                                              name, stage, extra):
     # screening.csv holds 8 x 3 rows and sobol.csv 4 x 3: a file cut to 5
     # lines keeps its hash line, one cut to 10 bytes not even that; both
-    # must be recomputed, not reused or refused
+    # must be recomputed, not reused or refused. A GP file is one JSON line,
+    # so only the 10-byte cut changes it, and it no longer parses.
+    ok = (0, 2) if stage == "calibrate" else (0,)  # 2: chains did not converge
     fresh = write_config(tmp_path / "a.cfg", dataset, tmp_path / "a", **extra)
-    assert run_pipeline(fresh, stages={stage}) == 0
+    assert run_pipeline(fresh, stages={stage}) in ok
     expected = (tmp_path / "a" / name).read_bytes()
     cfg_path = write_config(tmp_path / "b.cfg", dataset, tmp_path / "b", **extra)
-    assert run_pipeline(cfg_path, stages={stage}) == 0
+    assert run_pipeline(cfg_path, stages={stage}) in ok
     path = tmp_path / "b" / name
     for cut in (b"".join(expected.splitlines(keepends=True)[:5]), expected[:10]):
         path.write_bytes(cut)
-        assert run_pipeline(cfg_path, stages={stage}) == 0
+        assert run_pipeline(cfg_path, stages={stage}) in ok
         assert path.read_bytes() == expected

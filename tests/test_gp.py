@@ -46,8 +46,8 @@ def test_prior_reversion_far_away():
 
 def test_lml_single_point_closed_form():
     for s2 in (1e-6, 0.1, 1.0):
-        kc = gp.KernelConfig(np.array([1.0]), 1.0, s2)
-        val = gp.log_marginal_likelihood(kc, np.array([[0.0]]), np.array([0.0]))
+        log_params = np.log([1.0, 1.0, s2])  # lengthscale, signal variance, nugget
+        val, _ = gp.lml_and_grad(log_params, np.array([[0.0]]), np.array([0.0]))
         expected = -0.5 * np.log(2 * np.pi * (1 + s2))
         assert abs(val - expected) < 1e-12
 
@@ -224,6 +224,27 @@ def test_load_model_from_parsed_document(tmp_path):
     from_doc, from_path = gp.load_model(doc), gp.load_model(path)
     for a, b in zip(from_doc.chols, from_path.chols):
         np.testing.assert_array_equal(a, b)
+
+
+def test_load_model_escalates_nugget_like_build_model(tmp_path):
+    # a nugget too small to factorize is raised tenfold until the Cholesky
+    # succeeds, on every path that factorizes, and the factor is the plain
+    # one at the raised nugget
+    x = np.linspace(0, 1, 30)[:, None]
+    y = np.sin(3 * x[:, 0])
+    tiny = gp.KernelConfig(np.array([1.0]), 1.0, 1e-20)
+    built = gp.build_model(x, y, [tiny])
+    kc = built.kernels[0]
+    assert kc.nugget > tiny.nugget
+    np.testing.assert_array_equal(
+        built.chols[0], cholesky(gp.kernel_matrix(kc, built.x), lower=True))
+    path = tmp_path / "model.json"
+    gp.save_model(built, path)
+    doc = json.loads(path.read_text())
+    doc["kernels"][0]["nugget"] = tiny.nugget  # a file holding the unraised nugget
+    loaded = gp.load_model(doc)
+    assert loaded.kernels[0].nugget == kc.nugget
+    np.testing.assert_array_equal(loaded.chols[0], built.chols[0])
 
 
 @pytest.mark.parametrize("build", ["fit", "build_model"])

@@ -73,12 +73,3 @@ def test_uniform_grid_errors():
         uniform_grid(1, (0, 1))
     with pytest.raises(ValueError):
         uniform_grid(5, (2, 2))
-
-
-def test_design_csv_export(tmp_path):
-    design = lhs_sample(4, [(0, 1)] * 3, seed=1)
-    path = tmp_path / "design.csv"
-    design.to_csv(path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "p1,p2,p3"
-    assert len(lines) == 5

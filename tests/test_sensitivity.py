@@ -138,18 +138,3 @@ def test_sobol_preconditions():
         sobol_indices(f, [(0, 1)], 100, seed=0)  # not a power of two
     with pytest.raises(ValueError):
         sobol_indices(f, [(0, 1)], 32, seed=0)  # too small
-
-
-def test_csv_exports(tmp_path):
-    res = oat_screen(synth_runner, X_FIXED, [(0, 5)] * 4, n=10, threshold=1e-3)
-    p = tmp_path / "screen.csv"
-    res.to_csv(p, output_names=["lower", "middle", "upper"])
-    lines = p.read_text().splitlines()
-    assert lines[0] == "parameter,output,variance,selected"
-    assert len(lines) == 1 + 4 * 3
-
-    sob = sobol_indices(lambda th: np.atleast_2d(th).sum(axis=1),
-                        [(0, 1)] * 2, 64, seed=0)
-    p = tmp_path / "sobol.csv"
-    sob.to_csv(p)
-    assert p.read_text().splitlines()[0] == "parameter,output,first_order,total"
