@@ -58,9 +58,6 @@ class PriorSpec:
     def ranges(self):
         return [(self.lo, self.hi)] * THETA_DIM
 
-    def contains(self, theta: np.ndarray) -> bool:
-        return bool(np.all(theta >= self.lo) and np.all(theta <= self.hi))
-
     @property
     def log_density(self) -> float:
         return -THETA_DIM * np.log(self.hi - self.lo)
@@ -167,7 +164,8 @@ class LogPosterior:
 
     def __call__(self, theta: np.ndarray) -> float:
         theta = np.asarray(theta, dtype=float).ravel()
-        if not np.all(np.isfinite(theta)) or not self.prior.contains(theta):
+        # one test for the prior box and NaN: every comparison with NaN fails
+        if not (self.prior.lo <= theta.min() and theta.max() <= self.prior.hi):
             return -np.inf
         mean, sigma2_code = self._gp_cc(theta)
         r = self.y_exp - mean - self.delta

@@ -25,7 +25,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from . import gp
+from . import __version__, gp
 from .calibration import (
     CalibrationMode,
     PriorSpec,
@@ -103,14 +103,19 @@ _KEYS = {
 }
 
 
+_UNHASHED = ("out_dir", "run_screen", "run_sobol")
+
+
 class PipelineConfig(SimpleNamespace):
     """A parsed attribute per _KEYS entry (None when left out), plus prior,
     raw (strings after defaults and overrides) and input_digests."""
 
     def hash(self) -> str:
-        # out_dir excluded so a run can be replayed into a fresh directory
-        items = {k: v for k, v in self.raw.items() if k != "out_dir"}
+        # out_dir excluded so a run can be replayed into a fresh directory;
+        # run_screen and run_sobol only choose the stages of `mbcal run`
+        items = {k: v for k, v in self.raw.items() if k not in _UNHASHED}
         blob = "\n".join(f"{k} = {items[k]}" for k in sorted(items))
+        blob += f"\nmbcal {__version__}"
         blob += "".join(f"\n{d}" for d in self.input_digests)
         return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
@@ -413,7 +418,6 @@ def run_pipeline(config_path, out_override=None, seed_override=None, stages=None
         ids_val = [c.case_id for c in val_cases]
         xs_val = np.array([c.x.as_array() for c in val_cases])
         y_val = np.array([c.y_exp.as_array() for c in val_cases])
-        sigma_val = np.array([[c.meas.sigma_exp] for c in val_cases])
         prior_val = code_model_arrays(xs_val, np.ones_like(xs_val))
         for mode, result in results.items():
             pooled = result.pooled_draws()
@@ -422,14 +426,12 @@ def run_pipeline(config_path, out_override=None, seed_override=None, stages=None
                                     n_use=min(cfg.n_propagate, pooled.shape[0]))
                 report = rmse_report(summary, prior_val, val_cases)
             if "validate" in stages:
-                covered = ((summary.p025 - 2 * sigma_val <= y_val)
-                           & (y_val <= summary.p975 + 2 * sigma_val))
                 _write_csv(
                     out(mode.value, "validation_report.csv"), cfg_hash,
                     "case_id,location,y_exp,y_prior,y_post_mean,y_post_std,"
                     "p2.5,p97.5,covered",
                     _table(ids_val, y_val, prior_val, summary.mean, summary.std,
-                           summary.p025, summary.p975, covered.astype(int)),
+                           summary.p025, summary.p975, report.covered.astype(int)),
                 )
                 _write_artifact(out(mode.value, "rmse_summary.txt"), cfg_hash, [
                     f"rmse y_M(theta=1) = {report.rmse_prior:.6f}",

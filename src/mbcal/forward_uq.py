@@ -23,7 +23,11 @@ class PredictiveSummary:
 class ValidationReport:
     rmse_prior: float
     rmse_posterior: float
-    coverage_95: float
+    covered: np.ndarray  # (n_cases, 3) bool: y_exp inside the widened 95% band
+
+    @property
+    def coverage_95(self) -> float:
+        return float(self.covered.mean())
 
 
 def propagate(runner, cases, draws: np.ndarray, n_use: int) -> PredictiveSummary:
@@ -63,8 +67,8 @@ def propagate(runner, cases, draws: np.ndarray, n_use: int) -> PredictiveSummary
 
 def rmse_report(summary: PredictiveSummary, prior_outputs: np.ndarray, cases) -> ValidationReport:
     """RMSE of posterior-mean and prior-nominal predictions over all
-    case x location residuals, plus 95% band coverage (band widened by
-    +-2 sigma_exp per case)."""
+    case x location residuals, plus which measurements lie inside the 95%
+    band widened by +-2 sigma_exp per case (the one coverage rule)."""
     ids = [c.case_id for c in cases]
     if ids != summary.case_ids:
         raise ValueError("misaligned case ids between summary and cases")
@@ -80,5 +84,5 @@ def rmse_report(summary: PredictiveSummary, prior_outputs: np.ndarray, cases) ->
     return ValidationReport(
         rmse_prior=float(np.sqrt(np.mean(r_prior**2))),
         rmse_posterior=float(np.sqrt(np.mean(r_post**2))),
-        coverage_95=float(covered.mean()),
+        covered=covered,
     )

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import cho_solve, cholesky, solve_triangular
-from scipy.linalg.lapack import dpotri, dtrtri
+from scipy.linalg.lapack import dpotri
 from scipy.optimize import minimize
 from scipy.spatial.distance import cdist
 
@@ -168,24 +168,37 @@ def lml_and_grad(log_params: np.ndarray, x: np.ndarray, y: np.ndarray):
     ng = float(np.exp(log_params[d + 1]))
 
     xs = x / ls
-    kse = sv * np.exp(-0.5 * cdist(xs, xs, "sqeuclidean"))
-    k = kse.copy()
+    kse = cdist(xs, xs, "sqeuclidean")
+    kse *= -0.5
+    np.exp(kse, out=kse)
+    kse *= sv
+    k = kse.copy(order="F")  # Fortran order, so potrf factors it in place
     k[np.diag_indices_from(k)] += ng
     try:
-        low = cholesky(k, lower=True, check_finite=False)
+        low = cholesky(k, lower=True, overwrite_a=True, check_finite=False)
     except np.linalg.LinAlgError:
         return -np.inf, np.zeros(d + 2)
     alpha = cho_solve((low, True), y, check_finite=False)
     lml = -0.5 * y @ alpha - np.sum(np.log(np.diag(low))) - 0.5 * n * np.log(2 * np.pi)
 
-    w = np.outer(alpha, alpha) - _chol_inverse(low)  # d(LML)/dK = W/2
-    m = w * kse
-    r = m.sum(axis=1)
+    # d(LML)/dK = W/2 with W = aa^T - K^-1. potri leaves the lower triangle
+    # of K^-1 in low's storage and the upper triangle zero, so subtracting
+    # it and its transpose is exact off the diagonal.
+    kinv, info = dpotri(low, lower=1, overwrite_c=1)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"potri failed (info={info})")
+    w = np.outer(alpha, alpha)
+    w -= kinv
+    w -= kinv.T
+    w[np.diag_indices_from(w)] = alpha * alpha - kinv.diagonal()
+    trace_w = np.trace(w)
+    w *= kse                                    # M = W * K_se
+    r = w.sum(axis=1)
 
     grad = np.empty(d + 2)
-    grad[:d] = (xs * xs).T @ r - np.einsum("ij,ij->j", xs, m @ xs)
+    grad[:d] = (xs * xs).T @ r - np.einsum("ij,ij->j", xs, w @ xs)
     grad[d] = 0.5 * r.sum()                     # dK/d(log sv) = K_se
-    grad[d + 1] = 0.5 * ng * np.trace(w)        # dK/d(log nugget) = ng*I
+    grad[d + 1] = 0.5 * ng * trace_w            # dK/d(log nugget) = ng*I
     return float(lml), grad
 
 
@@ -339,15 +352,42 @@ def predict(model: GpModel, points: np.ndarray):
     return mean, var
 
 
+def _lead_groups(lead_x: np.ndarray):
+    """Training rows grouped by their lead row, as sub-groups of one size.
+
+    Returns (rows, lead): rows (G, s) holds the row indices of each
+    sub-group, padded with -1, and lead (G, c) its shared lead row. s is the
+    largest sub-group size whose padded layout keeps G * s <= 2n, so a group
+    larger than s is split into sub-groups that share its lead row.
+    """
+    n = lead_x.shape[0]
+    uniq, inverse = np.unique(lead_x, axis=0, return_inverse=True)
+    inverse = inverse.ravel()
+    counts = np.bincount(inverse)
+    s = next(s for s in range(int(counts.max()), 0, -1)
+             if int((-(-counts // s) * s).sum()) <= 2 * n)
+    rows, owner = [], []
+    for g, members in enumerate(np.split(np.argsort(inverse, kind="stable"),
+                                         np.cumsum(counts)[:-1])):
+        for chunk in np.array_split(members, -(-len(members) // s)):
+            rows.append(np.pad(chunk, (0, s - len(chunk)), constant_values=-1))
+            owner.append(g)
+    return np.array(rows), uniq[owner]
+
+
 class SplitPredictor:
     """predict at rows [lead_i, tail]: fixed lead rows, one tail per call.
 
     The SE kernel is a product over input columns, so the cross-covariance
-    factors as k*(lead_i, tail) = K_lead[i] * k_tail(tail). K_lead, the
-    scaled tail columns of the training inputs and L^-T (LAPACK trtri on the
-    stored Cholesky factor, whose upper triangle is zero) are computed once;
-    a call costs one length-n exponential per output, one matrix-vector
-    product for the mean and one matrix product for the variance.
+    with training row a factors as K_lead[i, a] * k_tail(tail)[a]. Training
+    rows that share a lead row form a group (GP_CC: one per calibration
+    case), so K_lead[i, a] = K_u[i, group(a)] and L^-1 k*_i = V K_u[i]^T
+    with V = L^-1 U, where U (n x G) holds k_tail on each group's rows.
+    K_u, the scaled tail columns and the columns of L^-1, stored sub-group
+    by sub-group with zeros for padding, are computed once. A call costs one
+    length-n exponential and one batched matrix-vector product V (n^2) per
+    output, K_u V (q G n) for the variance, and K_u times the per-group sums
+    of k_tail * alpha for the mean.
     """
 
     def __init__(self, model: GpModel, lead: np.ndarray):
@@ -356,35 +396,44 @@ class SplitPredictor:
         if not 0 < c < model.d:
             raise ValueError(f"lead must have 1..{model.d - 1} columns, got {c}")
         q = (lead - model.in_lo[:c]) / model.in_span[:c]
+        rows, lead_u = _lead_groups(model.x[:, :c])
+        pad = rows < 0
+        rows_or_0 = np.where(pad, 0, rows)
         kernels = model.kernels
         self.model = model
         self.c = c
         self.sv = np.array([kc.signal_variance for kc in kernels])[:, None]
-        self.k_lead = np.stack([
-            kc.signal_variance
-            * np.exp(-0.5 * _sq_dists(q, model.x[:, :c], kc.lengthscales[:c]))
+        self.k_u = np.stack([
+            kc.signal_variance * np.exp(-0.5 * _sq_dists(q, lead_u, kc.lengthscales[:c]))
             for kc in kernels
-        ])                                                            # (m, q, n)
+        ])                                                            # (m, q, G)
         self.tail_scale = np.array([kc.lengthscales[c:] for kc in kernels])
-        self.x_tail = model.x[None, :, c:] / self.tail_scale[:, None, :]  # (m, n, d-c)
-        self.alphas = np.stack(model.alphas)                          # (m, n)
-        # filled one output at a time, so the build needs one n x n scratch
-        self.linv_t = np.empty((model.m, model.n, model.n))
+        self.x_tail = (model.x[rows_or_0, c:][None]
+                       / self.tail_scale[:, None, None, :])           # (m, G, s, d-c)
+        self.alphas = np.stack(model.alphas)[:, rows_or_0] * ~pad     # (m, G, s)
+        # linv[j, g, k] = column rows[g, k] of L_j^-1, solved one sub-group
+        # at a time, so the build needs no n x n scratch
+        g_count, s = rows.shape
+        self.linv = np.zeros((model.m, g_count, s, model.n))
         for j, low in enumerate(model.chols):
-            linv, info = dtrtri(low, lower=1)
-            if info != 0:
-                raise np.linalg.LinAlgError(f"trtri failed (info={info})")
-            self.linv_t[j] = linv.T
+            for g, members in enumerate(rows):
+                members = members[members >= 0]
+                unit = np.zeros((model.n, members.size), order="F")
+                unit[members, np.arange(members.size)] = 1.0
+                self.linv[j, g, :members.size] = solve_triangular(
+                    low, unit, lower=True, overwrite_b=True, check_finite=False).T
 
     def __call__(self, tail: np.ndarray):
         """Posterior mean and variance (de-standardized), each (q, m)."""
         model, c = self.model, self.c
         t = (np.asarray(tail, dtype=float) - model.in_lo[c:]) / model.in_span[c:]
-        diff = self.x_tail - (t / self.tail_scale)[:, None, :]
-        k_tail = np.exp(-0.5 * np.einsum("mnk,mnk->mn", diff, diff))   # (m, n)
-        mu = np.matmul(self.k_lead, (k_tail * self.alphas)[:, :, None])[:, :, 0]
-        v = np.matmul(self.k_lead * k_tail[:, None, :], self.linv_t)
-        s2 = self.sv - np.einsum("mqn,mqn->mq", v, v)
+        diff = self.x_tail - (t / self.tail_scale)[:, None, None, :]
+        k_tail = np.exp(-0.5 * np.einsum("mgsk,mgsk->mgs", diff, diff))  # (m, G, s)
+        per_group = np.einsum("mgs,mgs->mg", k_tail, self.alphas)
+        mu = np.matmul(self.k_u, per_group[:, :, None])[:, :, 0]          # (m, q)
+        v = np.matmul(k_tail[:, :, None, :], self.linv)[:, :, 0]          # (m, G, n)
+        z = np.matmul(self.k_u, v)                                        # (m, q, n)
+        s2 = self.sv - np.einsum("mqn,mqn->mq", z, z)
         if np.any(s2 < -1e-8):
             raise FloatingPointError("predictive variance significantly negative")
         s2 = np.clip(s2, 0.0, None)

@@ -107,7 +107,7 @@ def adaptive_mh(log_post, config: McmcConfig) -> PosteriorChain:
         in_support = True
         if cfg.support is not None:
             lo, hi = cfg.support
-            in_support = bool(np.all(prop >= lo) and np.all(prop <= hi))
+            in_support = bool((prop >= lo).all() and (prop <= hi).all())
         if in_support:
             lp = float(log_post(prop))
             if np.log(rng.random()) < lp - cur_lp:

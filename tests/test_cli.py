@@ -4,6 +4,7 @@ import shutil
 import numpy as np
 import pytest
 
+import mbcal.cli
 from mbcal.cli import (
     ingest_csv,
     load_config,
@@ -135,6 +136,17 @@ def test_config_hash_excludes_out_dir(tmp_path, dataset):
                                  seed=99))
     assert a.hash() == b.hash()
     assert a.hash() != c.hash()
+
+
+def test_config_hash_ignores_stage_switches_and_covers_version(tmp_path, dataset,
+                                                              monkeypatch):
+    a = load_config(write_config(tmp_path / "a.cfg", dataset, tmp_path / "out"))
+    b = load_config(write_config(tmp_path / "b.cfg", dataset, tmp_path / "out",
+                                 run_screen="false", run_sobol="true"))
+    assert a.hash() == b.hash()
+    before = a.hash()
+    monkeypatch.setattr(mbcal.cli, "__version__", "0.0.0")
+    assert a.hash() != before
 
 
 def test_seed_override_changes_hash(tmp_path, dataset):
@@ -335,6 +347,33 @@ def test_pipeline_resume_refused_on_config_change(small_run, tmp_path, dataset):
     cfg_path = write_config(tmp_path / "changed.cfg", dataset, out2, seed=42)
     with pytest.raises(RuntimeError, match="resume refused"):
         run_pipeline(cfg_path)
+
+
+def test_flipping_run_sobol_reuses_finished_artifacts(small_run, tmp_path, dataset):
+    # run_sobol only adds a stage: `mbcal screen` and then `mbcal run` under
+    # the flipped config keep every finished artifact and add sobol.csv
+    _, _, out = small_run
+    out2 = tmp_path / "copy"
+    shutil.copytree(out, out2)
+    kept = ["screening.csv", "gp_cc.json", "with_discrepancy/gp_md.json",
+            "with_discrepancy/chain_1.csv", "no_discrepancy/chain_2.csv"]
+    before = {n: ((out2 / n).read_bytes(), (out2 / n).stat().st_ino) for n in kept}
+    cfg_path = write_config(tmp_path / "c.cfg", dataset, out2, run_sobol="true")
+    assert main(["screen", "--config", str(cfg_path)]) == 0
+    assert main(["run", "--config", str(cfg_path)]) in (0, 2)
+    for name in kept:
+        assert ((out2 / name).read_bytes(), (out2 / name).stat().st_ino) == before[name]
+    assert (out2 / "sobol.csv").exists()
+
+
+def test_pipeline_covered_column_matches_coverage_95(small_run):
+    _, _, out = small_run
+    for mode in ("with_discrepancy", "no_discrepancy"):
+        covered = np.loadtxt(out / mode / "validation_report.csv", delimiter=",",
+                             skiprows=2, usecols=8)
+        text = (out / mode / "rmse_summary.txt").read_text()
+        coverage = float(text.split("coverage_95 = ")[1].split()[0])
+        assert abs(covered.mean() - coverage) <= 5e-5  # printed to 4 decimals
 
 
 def test_pipeline_resume_recomputes_truncated_chain(small_run, tmp_path, dataset):

@@ -3,6 +3,8 @@ import json
 import numpy as np
 import pytest
 from scipy.linalg import cho_solve, cholesky
+from scipy.linalg.lapack import dpotri
+from scipy.spatial.distance import cdist
 
 import mbcal.gp as gp
 from mbcal.sampler import lhs_sample
@@ -287,6 +289,31 @@ def _lml_and_grad_per_dimension(log_params, x, y):
     return float(lml), grad
 
 
+def _lml_and_grad_out_of_place(log_params, x, y):
+    """Reference: lml_and_grad's arithmetic with a fresh array per step
+    (K_se, K, L, a symmetrized K^-1 from tril, W and W * K_se)."""
+    n, d = x.shape
+    ls = np.exp(log_params[:d])
+    sv = float(np.exp(log_params[d]))
+    ng = float(np.exp(log_params[d + 1]))
+    xs = x / ls
+    kse = sv * np.exp(-0.5 * cdist(xs, xs, "sqeuclidean"))
+    k = kse.copy()
+    k[np.diag_indices_from(k)] += ng
+    low = cholesky(k, lower=True, check_finite=False)
+    alpha = cho_solve((low, True), y, check_finite=False)
+    lml = -0.5 * y @ alpha - np.sum(np.log(np.diag(low))) - 0.5 * n * np.log(2 * np.pi)
+    inv = np.tril(dpotri(low, lower=1)[0])
+    w = np.outer(alpha, alpha) - (inv + np.tril(inv, -1).T)
+    m = w * kse
+    r = m.sum(axis=1)
+    grad = np.empty(d + 2)
+    grad[:d] = (xs * xs).T @ r - np.einsum("ij,ij->j", xs, m @ xs)
+    grad[d] = 0.5 * r.sum()
+    grad[d + 1] = 0.5 * ng * np.trace(w)
+    return float(lml), grad
+
+
 @pytest.mark.parametrize("nugget", [1e-8, 1e-4])
 def test_lml_and_grad_matches_per_dimension_loop(nugget):
     # GP_CC-shaped: 200 rows of [x (4), theta (4)] on the unit cube
@@ -301,3 +328,50 @@ def test_lml_and_grad_matches_per_dimension_loop(nugget):
         ref_lml, ref_grad = _lml_and_grad_per_dimension(p, x, y)
         assert abs(lml - ref_lml) <= 1e-8 * abs(ref_lml)
         np.testing.assert_allclose(grad, ref_grad, rtol=1e-8, atol=0)
+        # the in-place steps reorder no arithmetic, so the fit's L-BFGS path
+        # and the fitted GP_CC do not change in the last digit
+        ref_lml, ref_grad = _lml_and_grad_out_of_place(p, x, y)
+        assert lml == ref_lml
+        assert np.array_equal(grad, ref_grad)
+
+
+# lengthscales and nuggets of a GP_CC fitted on perfbench's selfcheck workload
+SELFCHECK_GP_CC_KERNELS = [
+    (np.array([1.28, 0.71, 1.72, 0.56, 0.34, 1.05, 0.67, 1.16]), 1e-8),
+    (np.array([1.13, 1.15, 2.02, 0.60, 0.33, 0.77, 0.76, 1.37]), 1e-4),
+    (np.array([0.89, 1.01, 1.82, 0.61, 0.30, 0.58, 0.78, 1.62]), 1e-8),
+]
+
+
+def _lead_tail_model(sizes, seed):
+    """A GP_CC-shaped model: groups of rows sharing a boundary-condition
+    (lead) row, with sizes[g] theta (tail) rows each, in shuffled row order."""
+    rng = np.random.default_rng(seed)
+    lead_rows = rng.random((len(sizes), 4))
+    n = int(np.sum(sizes))
+    x = np.hstack([np.repeat(lead_rows, sizes, axis=0),
+                   lhs_sample(n, [(0.05, 5.0)] * 4, seed=seed).points])
+    x = x[rng.permutation(n)]
+    kernels = [gp.KernelConfig(ls, 1.0, ng) for ls, ng in SELFCHECK_GP_CC_KERNELS]
+    return gp.build_model(x, code_model_arrays(x[:, :4], x[:, 4:]), kernels), lead_rows
+
+
+@pytest.mark.parametrize("sizes, query", [
+    ([25] * 20, "training"),        # GP_CC as built: one group per case
+    ([20, 23, 25], "training"),     # unequal groups, padded to one size
+    ([1] * 120, "training"),        # all-distinct lead rows
+    ([25] * 8, "new"),              # query lead rows that are not training rows
+    ([60] + [1] * 40, "training"),  # a group larger than the padded layout allows
+])
+def test_split_predictor_matches_predict(sizes, query):
+    model, lead_rows = _lead_tail_model(sizes, seed=len(sizes))
+    query_rows = (np.random.default_rng(99).random((12, 4)) if query == "new"
+                  else lead_rows[:20])
+    split = gp.SplitPredictor(model, query_rows)
+    assert split.linv.size <= 2 * model.m * model.n**2
+    for tail in lhs_sample(25, [(0.05, 5.0)] * 4, seed=7).points:
+        pts = np.hstack([query_rows, np.tile(tail, (len(query_rows), 1))])
+        mean, var = gp.predict(model, pts)
+        m2, v2 = split(tail)
+        np.testing.assert_allclose(m2, mean, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(v2, var, rtol=0, atol=1e-12)
