@@ -77,6 +77,9 @@ class GpModel:
     chols: list[np.ndarray] = field(default_factory=list)    # lower Cholesky of K
     alphas: list[np.ndarray] = field(default_factory=list)   # K^{-1} y per output
     lml: np.ndarray | None = None  # per-output log marginal likelihood
+    # per output, each restart's final LML and function evaluations, as
+    # {"lml": [...], "nfev": [...]}; recorded by fit, not by load_model
+    restarts: list[dict] | None = None
 
     @property
     def n(self) -> int:
@@ -273,7 +276,7 @@ def fit(
         x=x, y=y, kernels=[], in_lo=in_lo, in_span=in_span,
         out_mean=out_mean, out_std=out_std,
     )
-    lmls = []
+    lmls, record = [], []
     for j in range(y.shape[1]):
         yj = y[:, j]
         starts = lhs_sample(
@@ -284,6 +287,7 @@ def fit(
         starts[0] = np.clip(starts[0], log_lb, log_ub)
 
         best = None
+        runs = {"lml": [], "nfev": []}
         for r in range(restarts):
             res = minimize(
                 lambda p: tuple(-v for v in lml_and_grad(p, x, yj)),
@@ -293,8 +297,11 @@ def fit(
                 bounds=opt_bounds,
                 options={"ftol": 1e-8, "maxiter": 300},
             )
+            runs["lml"].append(-float(res.fun))
+            runs["nfev"].append(int(res.nfev))
             if np.isfinite(res.fun) and (best is None or res.fun < best.fun):
                 best = res
+        record.append(runs)
         if best is None:
             raise RuntimeError(f"hyperparameter optimization failed for output {j}")
         p = best.x
@@ -310,6 +317,7 @@ def fit(
         )
         lmls.append(-best.fun)
     model.lml = np.array(lmls)
+    model.restarts = record
     return _factorize(model)
 
 
@@ -384,10 +392,11 @@ class SplitPredictor:
     case), so K_lead[i, a] = K_u[i, group(a)] and L^-1 k*_i = V K_u[i]^T
     with V = L^-1 U, where U (n x G) holds k_tail on each group's rows.
     K_u, the scaled tail columns and the columns of L^-1, stored sub-group
-    by sub-group with zeros for padding, are computed once. A call costs one
-    length-n exponential and one batched matrix-vector product V (n^2) per
-    output, K_u V (q G n) for the variance, and K_u times the per-group sums
-    of k_tail * alpha for the mean.
+    by sub-group with zeros for padding, are computed once. Each stored
+    column carries its row's alpha as one extra entry, so the batched
+    matrix-vector product that gives V (n^2 per output) also gives the
+    per-group sums of k_tail * alpha, and one K_u [V | a] (q G n) gives both
+    the variance's z = K_u V and the standardized mean.
     """
 
     def __init__(self, model: GpModel, lead: np.ndarray):
@@ -400,43 +409,56 @@ class SplitPredictor:
         pad = rows < 0
         rows_or_0 = np.where(pad, 0, rows)
         kernels = model.kernels
+        n = model.n
         self.model = model
-        self.c = c
         self.sv = np.array([kc.signal_variance for kc in kernels])[:, None]
         self.k_u = np.stack([
             kc.signal_variance * np.exp(-0.5 * _sq_dists(q, lead_u, kc.lengthscales[:c]))
             for kc in kernels
         ])                                                            # (m, q, G)
-        self.tail_scale = np.array([kc.lengthscales[c:] for kc in kernels])
-        self.x_tail = (model.x[rows_or_0, c:][None]
-                       / self.tail_scale[:, None, None, :])           # (m, G, s, d-c)
-        self.alphas = np.stack(model.alphas)[:, rows_or_0] * ~pad     # (m, G, s)
-        # linv[j, g, k] = column rows[g, k] of L_j^-1, solved one sub-group
-        # at a time, so the build needs no n x n scratch
+        tail_ls = np.array([kc.lengthscales[c:] for kc in kernels])
+        # scaled tail columns, one (G, s) plane per column, so a call's
+        # differences run over contiguous planes
+        self.x_tail = np.ascontiguousarray(np.moveaxis(
+            model.x[rows_or_0, c:][None] / tail_ls[:, None, None, :], 3, 1))  # (m, d-c, G, s)
+        # a raw tail t maps to the scaled tail columns as t * scale - shift
+        self.scale = 1.0 / (model.in_span[c:] * tail_ls)              # (m, d-c)
+        self.shift = model.in_lo[c:] * self.scale
+        # linv[j, g, k, :n] = column rows[g, k] of L_j^-1, solved one
+        # sub-group at a time, so the build needs no n x n scratch;
+        # linv[j, g, k, n] = alpha_j at that row (0 for padding)
         g_count, s = rows.shape
-        self.linv = np.zeros((model.m, g_count, s, model.n))
+        self.linv = np.zeros((model.m, g_count, s, n + 1))
+        self.linv[..., n] = np.stack(model.alphas)[:, rows_or_0] * ~pad
         for j, low in enumerate(model.chols):
             for g, members in enumerate(rows):
                 members = members[members >= 0]
-                unit = np.zeros((model.n, members.size), order="F")
+                unit = np.zeros((n, members.size), order="F")
                 unit[members, np.arange(members.size)] = 1.0
-                self.linv[j, g, :members.size] = solve_triangular(
+                self.linv[j, g, :members.size, :n] = solve_triangular(
                     low, unit, lower=True, overwrite_b=True, check_finite=False).T
+
+    def standardized(self, tail: np.ndarray):
+        """Standardized posterior mean and variance, each (m, q), at a float
+        array of the d - c tail values."""
+        diff = self.x_tail - (tail * self.scale - self.shift)[:, :, None, None]
+        diff *= diff
+        k_tail = diff.sum(axis=1)
+        k_tail *= -0.5
+        np.exp(k_tail, out=k_tail)                                        # (m, G, s)
+        va = np.matmul(k_tail[:, :, None, :], self.linv)[:, :, 0]         # (m, G, n+1)
+        za = np.matmul(self.k_u, va)                                      # (m, q, n+1)
+        z = za[..., :-1]
+        s2 = self.sv - np.einsum("mqn,mqn->mq", z, z)
+        if s2.min() < -1e-8:
+            raise FloatingPointError("predictive variance significantly negative")
+        np.maximum(s2, 0.0, out=s2)
+        return za[..., -1], s2
 
     def __call__(self, tail: np.ndarray):
         """Posterior mean and variance (de-standardized), each (q, m)."""
-        model, c = self.model, self.c
-        t = (np.asarray(tail, dtype=float) - model.in_lo[c:]) / model.in_span[c:]
-        diff = self.x_tail - (t / self.tail_scale)[:, None, None, :]
-        k_tail = np.exp(-0.5 * np.einsum("mgsk,mgsk->mgs", diff, diff))  # (m, G, s)
-        per_group = np.einsum("mgs,mgs->mg", k_tail, self.alphas)
-        mu = np.matmul(self.k_u, per_group[:, :, None])[:, :, 0]          # (m, q)
-        v = np.matmul(k_tail[:, :, None, :], self.linv)[:, :, 0]          # (m, G, n)
-        z = np.matmul(self.k_u, v)                                        # (m, q, n)
-        s2 = self.sv - np.einsum("mqn,mqn->mq", z, z)
-        if np.any(s2 < -1e-8):
-            raise FloatingPointError("predictive variance significantly negative")
-        s2 = np.clip(s2, 0.0, None)
+        mu, s2 = self.standardized(np.asarray(tail, dtype=float))
+        model = self.model
         return (mu.T * model.out_std + model.out_mean, s2.T * model.out_std**2)
 
 
@@ -476,8 +498,9 @@ def _arr(a) -> list:
 
 
 def save_model(model: GpModel, path, extra: dict | None = None) -> None:
-    """Serialize to JSON; floats round-trip exactly via repr. Keys of extra
-    are appended to the document (load_model ignores them)."""
+    """Serialize to JSON; floats round-trip exactly via repr. The fit's
+    per-restart record (key "restarts") and the keys of extra are appended
+    to the document; load_model ignores them."""
     doc = {
         "format": "mbcal-gp-1",
         "x": _arr(model.x),
@@ -495,6 +518,7 @@ def save_model(model: GpModel, path, extra: dict | None = None) -> None:
             for kc in model.kernels
         ],
         "lml": _arr(model.lml) if model.lml is not None else None,
+        **({"restarts": model.restarts} if model.restarts is not None else {}),
         **(extra or {}),
     }
     with open(path, "w") as fh:

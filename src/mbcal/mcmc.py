@@ -65,18 +65,18 @@ class PosteriorChain:
         return self.draws[self.n_burn:]
 
     def to_csv(self, path, param_names=None, header_extra: str | None = None) -> None:
-        d = self.draws.shape[1]
+        n, d = self.draws.shape
         names = param_names or [f"theta{j + 1}" for j in range(d)]
+        # one %-format over the whole table: %.17g round-trips every float,
+        # and %d prints the float step and accepted columns as integers
+        table = np.column_stack([np.arange(n), self.draws, self.log_posterior_values,
+                                 self.accepted])
+        row = "%d," + "%.17g," * (d + 1) + "%d\n"
         with open(path, "w") as fh:
             if header_extra:
                 fh.write(header_extra)
             fh.write("step," + ",".join(names) + ",log_post,accepted\n")
-            for t in range(self.draws.shape[0]):
-                vals = ",".join(f"{v:.17g}" for v in self.draws[t])
-                fh.write(
-                    f"{t},{vals},{self.log_posterior_values[t]:.17g},"
-                    f"{int(self.accepted[t])}\n"
-                )
+            fh.write(row * n % tuple(table.ravel().tolist()))
 
 
 def adaptive_mh(log_post, config: McmcConfig) -> PosteriorChain:

@@ -12,7 +12,7 @@ from mbcal.calibration import (
     calibrate,
 )
 from mbcal.domain import ParameterVector, partition_dataset, suggest_calibration_ids
-from mbcal.mcmc import McmcConfig
+from mbcal.mcmc import McmcConfig, adaptive_mh
 from mbcal.sampler import lhs_sample
 from mbcal.synthbench import SynthConfig, code_model_arrays, generate_dataset
 
@@ -187,6 +187,38 @@ def test_factored_log_posterior_matches_dense_predict(setup, pair, mode):
         assert abs(lp(theta) - ref) <= 1e-10 * max(1.0, abs(ref))
     for outside in ([5.01, 1, 1, 1], [1, 1, 1, 0.04], [1, np.nan, 1, 1]):
         assert lp(np.array(outside)) == -np.inf
+
+
+@pytest.mark.parametrize("mode", list(CalibrationMode))
+def test_fused_log_posterior_keeps_mh_chain(setup, pair, mode):
+    # the folded, theta-factored density must steer adaptive MH exactly as a
+    # dense gp.predict density does: same draws, same accept flags
+    cases, part = setup
+    lp = LogPosterior(pair, cases, part, mode, PriorSpec())
+    prior = PriorSpec()
+    if mode is CalibrationMode.WithDiscrepancy:
+        delta, sigma2_delta = gp.predict(pair.gp_md, lp.x_cal)
+    else:
+        delta, sigma2_delta = 0.0, 0.0
+
+    def dense(theta):
+        if not (np.all(theta >= prior.lo) and np.all(theta <= prior.hi)):
+            return -np.inf
+        pts = np.hstack([lp.x_cal, np.tile(theta, (lp.x_cal.shape[0], 1))])
+        mean, s2_code = gp.predict(pair.gp_cc, pts)
+        v = lp.sigma2_exp + sigma2_delta + s2_code
+        r = lp.y_exp - mean - delta
+        return float(-0.5 * np.sum(r**2 / v + np.log(2 * np.pi * v)) + prior.log_density)
+
+    mc = McmcConfig(init=np.ones(4), initial_proposal_cov=np.eye(4) * 0.06,
+                    n_samples=500, n_burn=200, seed=12,
+                    support=(np.full(4, prior.lo), np.full(4, prior.hi)))
+    fused, ref = adaptive_mh(lp, mc), adaptive_mh(dense, mc)
+    assert fused.draws.tobytes() == ref.draws.tobytes()
+    assert fused.accepted.tobytes() == ref.accepted.tobytes()
+    assert fused.accepted.sum() > 50
+    np.testing.assert_allclose(fused.log_posterior_values, ref.log_posterior_values,
+                               rtol=1e-12, atol=0)
 
 
 def test_mode_consistency_zero_discrepancy(setup, pair):

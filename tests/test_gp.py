@@ -228,6 +228,26 @@ def test_load_model_from_parsed_document(tmp_path):
         np.testing.assert_array_equal(a, b)
 
 
+def test_fit_records_restarts_and_save_model_writes_them(tmp_path):
+    x = np.random.default_rng(5).random((12, 2))
+    y = np.column_stack([np.sin(3 * x[:, 0]) + x[:, 1], np.cos(2 * x.sum(axis=1))])
+    model = gp.fit(x, y, restarts=4, seed=5)
+    assert len(model.restarts) == model.m
+    for j, runs in enumerate(model.restarts):
+        assert len(runs["lml"]) == len(runs["nfev"]) == 4
+        assert all(k >= 1 for k in runs["nfev"])
+        assert max(runs["lml"]) == model.lml[j]
+    paths = [tmp_path / "a.json", tmp_path / "b.json"]
+    for path in paths:
+        gp.save_model(gp.fit(x, y, restarts=4, seed=5), path)
+    assert paths[0].read_bytes() == paths[1].read_bytes()
+    with open(paths[0]) as fh:
+        assert json.load(fh)["restarts"] == model.restarts
+    loaded = gp.load_model(paths[0])
+    assert loaded.restarts is None
+    np.testing.assert_array_equal(loaded.lml, model.lml)
+
+
 def test_load_model_escalates_nugget_like_build_model(tmp_path):
     # a nugget too small to factorize is raised tenfold until the Cholesky
     # succeeds, on every path that factorizes, and the factor is the plain

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from mbcal.mcmc import McmcConfig, adaptive_mh, diagnostics
+from mbcal.cli import _chain_loader
+from mbcal.mcmc import McmcConfig, PosteriorChain, adaptive_mh, diagnostics
 
 
 def std_normal(theta):
@@ -134,3 +135,53 @@ def test_chain_csv_roundtrip(tmp_path):
     lines = path.read_text().splitlines()
     assert lines[0] == "step,theta1,log_post,accepted"
     assert len(lines) == 301
+
+
+def _to_csv_per_row(chain, path, param_names=None, header_extra=None):
+    """Reference: the chain writer as one f-string per row."""
+    d = chain.draws.shape[1]
+    names = param_names or [f"theta{j + 1}" for j in range(d)]
+    with open(path, "w") as fh:
+        if header_extra:
+            fh.write(header_extra)
+        fh.write("step," + ",".join(names) + ",log_post,accepted\n")
+        for t in range(chain.draws.shape[0]):
+            vals = ",".join(f"{v:.17g}" for v in chain.draws[t])
+            fh.write(f"{t},{vals},{chain.log_posterior_values[t]:.17g},"
+                     f"{int(chain.accepted[t])}\n")
+
+
+def _chain(draws, lps, acc, n_burn=0):
+    return PosteriorChain(draws=draws, log_posterior_values=lps, accepted=acc,
+                          acceptance_rate=float(acc[n_burn:].mean()), scale_history=[],
+                          n_burn=n_burn)
+
+
+def test_chain_csv_matches_per_row_writer_and_reads_back(tmp_path):
+    rng = np.random.default_rng(3)
+    mh = adaptive_mh(lambda th: -0.5 * float(th @ th),
+                     McmcConfig(init=np.ones(4), initial_proposal_cov=np.eye(4),
+                                n_samples=400, n_burn=100, seed=4))
+    awkward = np.array([[0.1, -0.0, 1e-300, 5.0], [1 / 3, 2.0**-1074, 1e17, -2.5e-8]])
+    cases = [
+        (mh, {}),
+        (mh, {"param_names": ["P1008", "P1012", "P1022", "P1028"],
+              "header_extra": "# config_hash=abc\n"}),
+        (_chain(awkward, np.array([-1e-12, -123456.789]), np.array([False, True])), {}),
+        (_chain(rng.random((1, 3)), np.array([-7.25]), np.array([True])),
+         {"header_extra": "# config_hash=one-row\n"}),
+    ]
+    for i, (chain, kw) in enumerate(cases):
+        got, ref = tmp_path / f"fast_{i}.csv", tmp_path / f"ref_{i}.csv"
+        chain.to_csv(got, **kw)
+        _to_csv_per_row(chain, ref, **kw)
+        assert got.read_bytes() == ref.read_bytes()
+        if "header_extra" not in kw:
+            continue
+        n = chain.draws.shape[0]
+        with open(got, "rb") as fh:
+            found, back = _chain_loader(n, chain.n_burn)(fh)
+        assert found == kw["header_extra"].strip().removeprefix("# config_hash=")
+        for name in ("draws", "log_posterior_values", "accepted"):
+            a, b = getattr(back, name), getattr(chain, name)
+            assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
