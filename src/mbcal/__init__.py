@@ -6,4 +6,4 @@ calibration (likelihood assembly and posterior sampling), forward_uq
 (propagation and validation), synthbench (synthetic benchmark), cli.
 """
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"

@@ -98,7 +98,8 @@ def build_gp_cc(
     """Emulator of the code: inputs x + theta, outputs the 3 void fractions.
 
     Per calibration case, theta_design_size LHS draws over the prior box are
-    evaluated in one runner call; one GP is fit on the pooled rows.
+    evaluated in one runner call; one GP is fit on the pooled rows, with one
+    kernel shared by the three standardized outputs.
     """
     if theta_design_size < 20:
         raise ValueError("theta_design_size must be >= 20")
@@ -114,7 +115,8 @@ def build_gp_cc(
             raise RuntimeError(f"runner failed on case {case.case_id}") from exc
         rows_x.append(np.hstack([x, design]))
         rows_y.append(y)
-    return gp.fit(np.vstack(rows_x), np.vstack(rows_y), restarts=restarts, seed=seed)
+    return gp.fit(np.vstack(rows_x), np.vstack(rows_y), restarts=restarts, seed=seed,
+                  shared=True)
 
 
 def build_gp_md(
@@ -125,7 +127,7 @@ def build_gp_md(
     seed: int = 0,
 ) -> gp.GpModel:
     """Discrepancy GP: validation-case boundary conditions -> residuals at
-    the nominal theta (all ones)."""
+    the nominal theta (all ones), with one kernel per output."""
     val_cases = _sorted_cases(cases, partition.validation_ids)
     if len(val_cases) < BC_DIM + 1:
         raise ValueError(f"need at least {BC_DIM + 1} validation cases")
@@ -199,8 +201,8 @@ class LogPosterior:
         # one test for the prior box and NaN: every comparison with NaN fails
         if not (self._lo <= theta.min() and theta.max() <= self._hi):
             return -np.inf
-        mu, v = self._gp_cc.standardized(theta)
-        v += self._v0
+        mu, s2 = self._gp_cc.standardized(theta)
+        v = self._v0 + s2
         r = self._r0 - mu
         r *= r
         r /= v

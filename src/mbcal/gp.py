@@ -1,9 +1,10 @@
 """Gaussian-process regression with anisotropic squared-exponential kernel.
 
-Used both as the code emulator (inputs x + theta) and as the discrepancy
-model (inputs x). Outputs are modeled as independent GPs sharing the same
-training inputs. Inputs are standardized to [0,1] per column and outputs to
-zero mean / unit variance; hyperparameters live in standardized space.
+Used both as the code emulator (inputs x + theta), whose outputs share one
+kernel (a separable multi-output GP, Conti & O'Hagan 2010), and as the
+discrepancy model (inputs x), with one kernel per output. Inputs are
+standardized to [0,1] per column and outputs to zero mean / unit variance;
+hyperparameters live in standardized space.
 
 Hyperparameters are fit by maximizing the log marginal likelihood in
 log-space with analytic gradients and multi-start L-BFGS-B.
@@ -69,16 +70,16 @@ class GpModel:
 
     x: np.ndarray                 # (n, d) standardized inputs
     y: np.ndarray                 # (n, m) standardized outputs
-    kernels: list[KernelConfig]   # one per output
+    kernels: list[KernelConfig]   # one per output, repeated for a shared kernel
     in_lo: np.ndarray             # (d,) raw-input column minima
     in_span: np.ndarray           # (d,) raw-input column spans (>= tiny)
     out_mean: np.ndarray          # (m,)
     out_std: np.ndarray           # (m,)
     chols: list[np.ndarray] = field(default_factory=list)    # lower Cholesky of K
     alphas: list[np.ndarray] = field(default_factory=list)   # K^{-1} y per output
-    lml: np.ndarray | None = None  # per-output log marginal likelihood
-    # per output, each restart's final LML and function evaluations, as
-    # {"lml": [...], "nfev": [...]}; recorded by fit, not by load_model
+    lml: np.ndarray | None = None  # log marginal likelihood per fitted block
+    # per fitted block, each restart's final "lml", "nfev" and "white_noise"
+    # flag (see fit) as lists; recorded by fit, not by load_model
     restarts: list[dict] | None = None
 
     @property
@@ -103,15 +104,6 @@ class GpModel:
 def _sq_dists(a: np.ndarray, b: np.ndarray, lengthscales: np.ndarray) -> np.ndarray:
     """Sum over dimensions of squared lengthscale-scaled differences."""
     return cdist(a / lengthscales, b / lengthscales, "sqeuclidean")
-
-
-def _chol_inverse(low: np.ndarray) -> np.ndarray:
-    """K^-1 from the lower Cholesky factor of K (LAPACK potri), symmetrized."""
-    inv, info = dpotri(low, lower=1)
-    if info != 0:
-        raise np.linalg.LinAlgError(f"potri failed (info={info})")
-    inv = np.tril(inv)
-    return inv + np.tril(inv, -1).T
 
 
 def kernel_matrix(kc: KernelConfig, a: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
@@ -143,29 +135,35 @@ def _chol_with_escalation(kc: KernelConfig, x: np.ndarray):
 
 
 def _factorize(model: GpModel) -> GpModel:
-    """Fill model.chols and model.alphas, one per output; a kernel whose
-    matrix needs a larger nugget to factorize is stored with that nugget."""
-    model.chols, model.alphas = [], []
+    """Fill model.chols and model.alphas, one per output, factoring each
+    distinct kernel once; a kernel whose matrix needs a larger nugget to
+    factorize is stored with that nugget."""
+    model.chols, model.alphas, factors = [], [], {}
     for j, kc in enumerate(model.kernels):
-        low, model.kernels[j] = _chol_with_escalation(kc, model.x)
+        key = (kc.lengthscales.tobytes(), kc.signal_variance, kc.nugget)
+        if key not in factors:
+            factors[key] = _chol_with_escalation(kc, model.x)
+        low, model.kernels[j] = factors[key]
         model.chols.append(low)
         model.alphas.append(cho_solve((low, True), model.y[:, j]))
     return model
 
 
 def lml_and_grad(log_params: np.ndarray, x: np.ndarray, y: np.ndarray):
-    """LML and its gradient w.r.t. log hyperparameters.
+    """LML and its gradient w.r.t. log hyperparameters, summed over the
+    columns of y, (n,) or (n, m), which share one kernel.
 
     log_params = [log l_1..log l_d, log signal_variance, log nugget].
-    The gradient is 1/2 tr(W dK/dp) with W = aa^T - K^-1 (Rasmussen &
-    Williams 2006, eq. 5.9). With M = W * K_se, r = M 1 and scaled inputs
-    xs = x / l, the d lengthscale terms are sum_i xs_ij^2 r_i - xs_j^T M xs_j,
+    The gradient is 1/2 tr(W dK/dp) with W = AA^T - m K^-1, A = K^-1 y
+    (Rasmussen & Williams 2006, eq. 5.9). With M = W * K_se, r = M 1 and scaled
+    inputs xs = x / l, the d lengthscale terms are sum_i xs_ij^2 r_i - xs_j^T M xs_j,
     one contraction instead of an n x n x d difference tensor.
     Inputs must be finite: fit and build_model check them.
     """
     x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float).ravel()
     n, d = x.shape
+    y = np.asarray(y, dtype=float).reshape(n, -1)
+    m = y.shape[1]
     ls = np.exp(log_params[:d])
     sv = float(np.exp(log_params[d]))
     ng = float(np.exp(log_params[d + 1]))
@@ -182,18 +180,20 @@ def lml_and_grad(log_params: np.ndarray, x: np.ndarray, y: np.ndarray):
     except np.linalg.LinAlgError:
         return -np.inf, np.zeros(d + 2)
     alpha = cho_solve((low, True), y, check_finite=False)
-    lml = -0.5 * y @ alpha - np.sum(np.log(np.diag(low))) - 0.5 * n * np.log(2 * np.pi)
+    lml = (-0.5 * y.ravel() @ alpha.ravel() - m * np.sum(np.log(np.diag(low)))
+           - 0.5 * m * n * np.log(2 * np.pi))
 
-    # d(LML)/dK = W/2 with W = aa^T - K^-1. potri leaves the lower triangle
+    # d(LML)/dK = W/2 with W = AA^T - m K^-1. potri leaves the lower triangle
     # of K^-1 in low's storage and the upper triangle zero, so subtracting
     # it and its transpose is exact off the diagonal.
     kinv, info = dpotri(low, lower=1, overwrite_c=1)
     if info != 0:
         raise np.linalg.LinAlgError(f"potri failed (info={info})")
-    w = np.outer(alpha, alpha)
+    kinv *= m
+    w = alpha @ alpha.T
     w -= kinv
     w -= kinv.T
-    w[np.diag_indices_from(w)] = alpha * alpha - kinv.diagonal()
+    w[np.diag_indices_from(w)] = (alpha * alpha).sum(axis=1) - kinv.diagonal()
     trace_w = np.trace(w)
     w *= kse                                    # M = W * K_se
     r = w.sum(axis=1)
@@ -236,8 +236,11 @@ def fit(
     bounds: HyperBounds | None = None,
     restarts: int = 8,
     seed: int = 0,
+    shared: bool = False,
 ) -> GpModel:
-    """Fit one independent GP per output column by multi-start MLE."""
+    """Fit one GP per output column by multi-start MLE, or with shared=True one
+    kernel for all columns. A restart is flagged white_noise when it ends at
+    -(m n / 2)(log 2 pi + 1), the LML of K = I for m unit-variance columns."""
     inputs, outputs = _training_arrays(inputs, outputs)
     n, d = inputs.shape
     if outputs.shape[0] != n:
@@ -277,8 +280,8 @@ def fit(
         out_mean=out_mean, out_std=out_std,
     )
     lmls, record = [], []
-    for j in range(y.shape[1]):
-        yj = y[:, j]
+    for cols in [list(range(y.shape[1]))] if shared else [[j] for j in range(y.shape[1])]:
+        j, yj = cols[0], y[:, cols]
         starts = lhs_sample(
             restarts, list(zip(log_lb, log_ub)), seed=seed * 1000003 + j
         ).points
@@ -301,6 +304,9 @@ def fit(
             runs["nfev"].append(int(res.nfev))
             if np.isfinite(res.fun) and (best is None or res.fun < best.fun):
                 best = res
+        plateau = -0.5 * yj.size * (np.log(2 * np.pi) + 1)
+        runs["white_noise"] = [bool(abs(v - plateau) <= 1e-9 * abs(plateau))
+                               for v in runs["lml"]]
         record.append(runs)
         if best is None:
             raise RuntimeError(f"hyperparameter optimization failed for output {j}")
@@ -312,9 +318,8 @@ def fit(
         lml_best = -best.fun
         if lml_and_grad(p_clamp, x, yj)[0] >= lml_best - 1e-7 * (1 + abs(lml_best)):
             p = p_clamp
-        model.kernels.append(
-            KernelConfig(np.exp(p[:d]), float(np.exp(p[d])), float(np.exp(p[d + 1])))
-        )
+        kc = KernelConfig(np.exp(p[:d]), float(np.exp(p[d])), float(np.exp(p[d + 1])))
+        model.kernels.extend([kc] * len(cols))
         lmls.append(-best.fun)
     model.lml = np.array(lmls)
     model.restarts = record
@@ -384,7 +389,8 @@ def _lead_groups(lead_x: np.ndarray):
 
 
 class SplitPredictor:
-    """predict at rows [lead_i, tail]: fixed lead rows, one tail per call.
+    """predict at rows [lead_i, tail]: fixed lead rows, one tail per call,
+    for a model whose outputs share one kernel (GP_CC).
 
     The SE kernel is a product over input columns, so the cross-covariance
     with training row a factors as K_lead[i, a] * k_tail(tail)[a]. Training
@@ -393,10 +399,10 @@ class SplitPredictor:
     with V = L^-1 U, where U (n x G) holds k_tail on each group's rows.
     K_u, the scaled tail columns and the columns of L^-1, stored sub-group
     by sub-group with zeros for padding, are computed once. Each stored
-    column carries its row's alpha as one extra entry, so the batched
-    matrix-vector product that gives V (n^2 per output) also gives the
-    per-group sums of k_tail * alpha, and one K_u [V | a] (q G n) gives both
-    the variance's z = K_u V and the standardized mean.
+    column carries its row's alphas as m extra entries, so the batched
+    matrix-vector product that gives V (n^2) also gives the per-group sums
+    of k_tail * alpha_j, and one K_u [V | A] (q G n) gives both the
+    variance's z = K_u V, which every output shares, and the standardized means.
     """
 
     def __init__(self, model: GpModel, lead: np.ndarray):
@@ -404,62 +410,55 @@ class SplitPredictor:
         c = lead.shape[1]
         if not 0 < c < model.d:
             raise ValueError(f"lead must have 1..{model.d - 1} columns, got {c}")
+        if any(low is not model.chols[0] for low in model.chols):
+            raise ValueError("SplitPredictor needs one kernel shared by every output")
         q = (lead - model.in_lo[:c]) / model.in_span[:c]
         rows, lead_u = _lead_groups(model.x[:, :c])
         pad = rows < 0
         rows_or_0 = np.where(pad, 0, rows)
-        kernels = model.kernels
-        n = model.n
-        self.model = model
-        self.sv = np.array([kc.signal_variance for kc in kernels])[:, None]
-        self.k_u = np.stack([
-            kc.signal_variance * np.exp(-0.5 * _sq_dists(q, lead_u, kc.lengthscales[:c]))
-            for kc in kernels
-        ])                                                            # (m, q, G)
-        tail_ls = np.array([kc.lengthscales[c:] for kc in kernels])
+        kc, n = model.kernels[0], model.n
+        self.model, self.n = model, n
+        self.sv = kc.signal_variance
+        self.k_u = kc.signal_variance * np.exp(
+            -0.5 * _sq_dists(q, lead_u, kc.lengthscales[:c]))         # (q, G)
+        tail_ls = kc.lengthscales[c:]
         # scaled tail columns, one (G, s) plane per column, so a call's
         # differences run over contiguous planes
-        self.x_tail = np.ascontiguousarray(np.moveaxis(
-            model.x[rows_or_0, c:][None] / tail_ls[:, None, None, :], 3, 1))  # (m, d-c, G, s)
+        self.x_tail = np.ascontiguousarray(
+            np.moveaxis(model.x[rows_or_0, c:] / tail_ls, 2, 0))      # (d-c, G, s)
         # a raw tail t maps to the scaled tail columns as t * scale - shift
-        self.scale = 1.0 / (model.in_span[c:] * tail_ls)              # (m, d-c)
+        self.scale = 1.0 / (model.in_span[c:] * tail_ls)
         self.shift = model.in_lo[c:] * self.scale
-        # linv[j, g, k, :n] = column rows[g, k] of L_j^-1, solved one
-        # sub-group at a time, so the build needs no n x n scratch;
-        # linv[j, g, k, n] = alpha_j at that row (0 for padding)
-        g_count, s = rows.shape
-        self.linv = np.zeros((model.m, g_count, s, n + 1))
-        self.linv[..., n] = np.stack(model.alphas)[:, rows_or_0] * ~pad
-        for j, low in enumerate(model.chols):
-            for g, members in enumerate(rows):
-                members = members[members >= 0]
-                unit = np.zeros((n, members.size), order="F")
-                unit[members, np.arange(members.size)] = 1.0
-                self.linv[j, g, :members.size, :n] = solve_triangular(
-                    low, unit, lower=True, overwrite_b=True, check_finite=False).T
+        # linv[g, k] = [column rows[g, k] of L^-1 | the alphas at that row],
+        # zero for padding
+        table = np.hstack([solve_triangular(model.chols[0], np.eye(n), lower=True,
+                                            check_finite=False).T,
+                           np.column_stack(model.alphas)])
+        self.linv = table[rows_or_0]                                   # (G, s, n+m)
+        self.linv[pad] = 0.0
 
     def standardized(self, tail: np.ndarray):
-        """Standardized posterior mean and variance, each (m, q), at a float
-        array of the d - c tail values."""
-        diff = self.x_tail - (tail * self.scale - self.shift)[:, :, None, None]
+        """Standardized posterior means (m, q) and the variance (q,) that every
+        output shares, at a float array of the d - c tail values."""
+        diff = self.x_tail - (tail * self.scale - self.shift)[:, None, None]
         diff *= diff
-        k_tail = diff.sum(axis=1)
+        k_tail = diff.sum(axis=0)
         k_tail *= -0.5
-        np.exp(k_tail, out=k_tail)                                        # (m, G, s)
-        va = np.matmul(k_tail[:, :, None, :], self.linv)[:, :, 0]         # (m, G, n+1)
-        za = np.matmul(self.k_u, va)                                      # (m, q, n+1)
-        z = za[..., :-1]
-        s2 = self.sv - np.einsum("mqn,mqn->mq", z, z)
+        np.exp(k_tail, out=k_tail)                                        # (G, s)
+        va = np.matmul(k_tail[:, None, :], self.linv)[:, 0]               # (G, n+m)
+        za = self.k_u @ va                                                # (q, n+m)
+        z = za[:, :self.n]
+        s2 = self.sv - np.einsum("qn,qn->q", z, z)
         if s2.min() < -1e-8:
             raise FloatingPointError("predictive variance significantly negative")
         np.maximum(s2, 0.0, out=s2)
-        return za[..., -1], s2
+        return za[:, self.n:].T, s2
 
     def __call__(self, tail: np.ndarray):
         """Posterior mean and variance (de-standardized), each (q, m)."""
         mu, s2 = self.standardized(np.asarray(tail, dtype=float))
         model = self.model
-        return (mu.T * model.out_std + model.out_mean, s2.T * model.out_std**2)
+        return (mu.T * model.out_std + model.out_mean, s2[:, None] * model.out_std**2)
 
 
 def loo_cv(model: GpModel) -> list[dict]:
@@ -471,8 +470,9 @@ def loo_cv(model: GpModel) -> list[dict]:
     if model.n < 3:
         raise ValueError("need at least 3 training points for LOO")
     metrics = []
-    for j in range(model.m):
-        diag = np.diag(_chol_inverse(model.chols[j]))
+    for j, low in enumerate(model.chols):
+        if j == 0 or low is not model.chols[j - 1]:   # diag(K^-1), once per factor
+            diag = np.sum(solve_triangular(low, np.eye(model.n), lower=True) ** 2, axis=0)
         resid_std = model.alphas[j] / diag  # y_i - mu_{-i} on standardized scale
         resid = resid_std * model.out_std[j]
         yraw = model.y[:, j] * model.out_std[j] + model.out_mean[j]

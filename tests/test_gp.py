@@ -355,24 +355,22 @@ def test_lml_and_grad_matches_per_dimension_loop(nugget):
         assert np.array_equal(grad, ref_grad)
 
 
-# lengthscales and nuggets of a GP_CC fitted on perfbench's selfcheck workload
-SELFCHECK_GP_CC_KERNELS = [
-    (np.array([1.28, 0.71, 1.72, 0.56, 0.34, 1.05, 0.67, 1.16]), 1e-8),
-    (np.array([1.13, 1.15, 2.02, 0.60, 0.33, 0.77, 0.76, 1.37]), 1e-4),
-    (np.array([0.89, 1.01, 1.82, 0.61, 0.30, 0.58, 0.78, 1.62]), 1e-8),
-]
+# the kernel shared by the three outputs of a GP_CC fitted on perfbench's
+# selfcheck workload, rounded
+SELFCHECK_GP_CC_KERNEL = gp.KernelConfig(
+    np.array([1.08, 0.95, 1.77, 0.60, 0.31, 0.72, 0.71, 1.38]), 0.80, 1e-8)
 
 
-def _lead_tail_model(sizes, seed):
+def _lead_tail_model(sizes, seed, kernels=(SELFCHECK_GP_CC_KERNEL,) * 3):
     """A GP_CC-shaped model: groups of rows sharing a boundary-condition
-    (lead) row, with sizes[g] theta (tail) rows each, in shuffled row order."""
+    (lead) row, with sizes[g] theta (tail) rows each, in shuffled row order,
+    and by default one kernel shared by the three outputs as build_gp_cc fits."""
     rng = np.random.default_rng(seed)
     lead_rows = rng.random((len(sizes), 4))
     n = int(np.sum(sizes))
     x = np.hstack([np.repeat(lead_rows, sizes, axis=0),
                    lhs_sample(n, [(0.05, 5.0)] * 4, seed=seed).points])
     x = x[rng.permutation(n)]
-    kernels = [gp.KernelConfig(ls, 1.0, ng) for ls, ng in SELFCHECK_GP_CC_KERNELS]
     return gp.build_model(x, code_model_arrays(x[:, :4], x[:, 4:]), kernels), lead_rows
 
 
@@ -388,10 +386,95 @@ def test_split_predictor_matches_predict(sizes, query):
     query_rows = (np.random.default_rng(99).random((12, 4)) if query == "new"
                   else lead_rows[:20])
     split = gp.SplitPredictor(model, query_rows)
-    assert split.linv.size <= 2 * model.m * model.n**2
+    assert split.linv.size <= 2 * model.n * (model.n + model.m)
     for tail in lhs_sample(25, [(0.05, 5.0)] * 4, seed=7).points:
         pts = np.hstack([query_rows, np.tile(tail, (len(query_rows), 1))])
         mean, var = gp.predict(model, pts)
         m2, v2 = split(tail)
         np.testing.assert_allclose(m2, mean, rtol=0, atol=1e-12)
         np.testing.assert_allclose(v2, var, rtol=0, atol=1e-12)
+
+
+def test_split_predictor_rejects_per_output_kernels():
+    kernels = [SELFCHECK_GP_CC_KERNEL, SELFCHECK_GP_CC_KERNEL,
+               gp.KernelConfig(SELFCHECK_GP_CC_KERNEL.lengthscales, 0.80, 1e-4)]
+    model, lead_rows = _lead_tail_model([25] * 4, seed=4, kernels=kernels)
+    with pytest.raises(ValueError, match="one kernel shared"):
+        gp.SplitPredictor(model, lead_rows)
+
+
+def test_factorize_shares_one_cholesky_per_distinct_kernel(tmp_path):
+    model, _ = _lead_tail_model([25] * 4, seed=4)
+    path = tmp_path / "gp_cc.json"
+    gp.save_model(model, path)
+    loaded = gp.load_model(path)
+    assert loaded.chols[0] is loaded.chols[1] is loaded.chols[2]
+    for j in range(3):
+        np.testing.assert_array_equal(
+            loaded.alphas[j], cho_solve((loaded.chols[0], True), loaded.y[:, j]))
+    q = np.random.default_rng(3).random((7, 8))
+    for a, b in zip(gp.predict(model, q), gp.predict(loaded, q)):
+        np.testing.assert_array_equal(a, b)
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_lml_and_grad_sums_columns_sharing_one_kernel(m):
+    # A1's random instances with m output columns: the LML is the sum of the
+    # per-column dense LMLs and the gradient matches central differences
+    rng = np.random.default_rng(m)
+    for k in range(20):
+        n, d = int(rng.integers(8, 25)), int(rng.integers(1, 5))
+        xs = rng.random((n, d))
+        ys = np.column_stack([np.sin((2 + j) * xs.sum(axis=1)) for j in range(m)])
+        ys += 0.1 * rng.standard_normal((n, m))
+        log_params = np.concatenate([
+            rng.uniform(-1.5, 1.0, d), rng.uniform(-0.5, 0.5, 1),
+            rng.uniform(np.log(1e-6), np.log(1e-4), 1),
+        ])
+        lml, grad = gp.lml_and_grad(log_params, xs, ys)
+        kc = gp.KernelConfig(np.exp(log_params[:d]), float(np.exp(log_params[d])),
+                             float(np.exp(log_params[d + 1])))
+        K = gp.kernel_matrix(kc, xs)
+        logdet = np.linalg.slogdet(K)[1]
+        direct = sum(-0.5 * (y @ np.linalg.solve(K, y) + logdet + n * np.log(2 * np.pi))
+                     for y in ys.T)
+        assert abs(lml - direct) <= 1e-8 * max(1.0, abs(direct)), k
+        h = 1e-4
+        for j in range(d + 2):
+            up, dn = log_params.copy(), log_params.copy()
+            up[j] += h
+            dn[j] -= h
+            fd = (gp.lml_and_grad(up, xs, ys)[0] - gp.lml_and_grad(dn, xs, ys)[0]) / (2 * h)
+            assert abs(grad[j] - fd) / max(abs(fd), 1e-8) < 1e-4, (k, j)
+
+
+def test_shared_kernel_loo_mae_sweep():
+    # A2's sweep and bounds, with the three outputs fit as one shared block
+    x_fixed = np.array([0.5, 0.3, 0.5, 0.8])
+    maes = []
+    for n in (20, 40, 60, 80, 100):
+        design = lhs_sample(n, [(0.05, 5.0)] * 4, seed=n).points
+        y = code_model_arrays(np.tile(x_fixed, (n, 1)), design)
+        model = gp.fit(design, y, restarts=8, seed=0, shared=True)
+        assert len(model.restarts) == 1 and len(model.lml) == 1
+        maes.append(float(np.mean([m["mae"] for m in gp.loo_cv(model)])))
+    assert maes[-1] <= 0.02, maes
+    assert maes[-1] <= maes[0], maes
+    for a, b in zip(maes, maes[1:]):
+        assert b <= 1.2 * a, maes
+
+
+def test_fit_flags_restarts_on_the_white_noise_plateau():
+    # a sign-alternating output on an even grid has no smooth structure, so
+    # every restart ends at K = I: LML -(m n / 2)(log 2 pi + 1)
+    x = np.linspace(0, 1, 12)[:, None]
+    noise = (-1.0) ** np.arange(12)
+    for outputs, shared in ((np.column_stack([noise, np.sin(3 * x[:, 0])]), False),
+                            (np.column_stack([noise, -noise]), True)):
+        model = gp.fit(x, outputs, restarts=3, seed=0, shared=shared)
+        for j, runs in enumerate(model.restarts):
+            width = 2 if shared else 1
+            plateau = -0.5 * width * 12 * (np.log(2 * np.pi) + 1)
+            expected = [bool(abs(v - plateau) <= 1e-9 * abs(plateau)) for v in runs["lml"]]
+            assert runs["white_noise"] == expected
+            assert all(expected) == (j == 0)
