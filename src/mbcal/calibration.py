@@ -214,7 +214,6 @@ class LogPosterior:
 @dataclass
 class CalibrationResult:
     mode: CalibrationMode
-    pair: SurrogatePair
     chains: list[PosteriorChain]
     diagnostics: dict
     summary: dict            # per-parameter stats over pooled post-burn draws
@@ -225,8 +224,7 @@ class CalibrationResult:
         return np.concatenate([c.post_burn for c in self.chains])
 
 
-def summarize(mode: CalibrationMode, pair: SurrogatePair,
-              chains: list[PosteriorChain]) -> CalibrationResult:
+def summarize(mode: CalibrationMode, chains: list[PosteriorChain]) -> CalibrationResult:
     """Diagnostics and pooled post-burn-in statistics of finished chains.
     Converged means every R-hat < 1.1."""
     diag = diagnostics(chains)
@@ -243,7 +241,7 @@ def summarize(mode: CalibrationMode, pair: SurrogatePair,
             "p97.5": float(p[2]),
         }
     return CalibrationResult(
-        mode=mode, pair=pair, chains=chains, diagnostics=diag, summary=summary,
+        mode=mode, chains=chains, diagnostics=diag, summary=summary,
         correlation=np.corrcoef(pooled.T), converged=bool(np.all(diag["rhat"] < 1.1)),
     )
 
@@ -283,7 +281,7 @@ def calibrate(
         cfg_k = replace(mcmc_config, init=init, seed=int(chain_seeds[2 * k + 1]))
         chains.append(adaptive_mh(log_post, cfg_k))
 
-    result = summarize(mode, pair, chains)
+    result = summarize(mode, chains)
     if not result.converged:
         warnings.warn(
             f"MCMC not converged: max R-hat = {np.max(result.diagnostics['rhat']):.3f}"

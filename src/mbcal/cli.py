@@ -3,10 +3,11 @@ calibrate (per mode) -> validate -> export.
 
 Config files are flat ``key = value`` text; unknown keys are errors. Every
 artifact carries the hash of the config and of the input files' bytes (on
-its first line, or as a GP JSON key). On resume ``_reuse`` reuses an
-artifact with the run's hash, recomputes a missing or cut-short one and
-refuses any other. Artifacts are written to a temporary file and renamed
-into place, so none is ever left half-written.
+its first line, or as a GP JSON key). On resume a stage whose artifacts
+are whole under the run's hash is skipped, one with a missing or cut-short
+artifact or a rebuilt input is rebuilt, and any other hash is refused
+(``_reuse``, ``run_pipeline``). Artifacts are written to a temporary file
+and renamed into place, so none is ever left half-written.
 
 The forward model is ``synthbench.code_model_arrays``, called through the
 batched runner contract ``runner(X, Theta) -> Y`` (see README).
@@ -15,6 +16,7 @@ batched runner contract ``runner(X, Theta) -> Y`` (see README).
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -226,15 +228,6 @@ def _replace(path, write) -> None:
             os.remove(tmp)
 
 
-def _cached(path, cfg_hash: str, load, compute, write):
-    """The artifact _reuse finds at path, else compute() stored by write."""
-    artifact = _reuse(path, cfg_hash, load)
-    if artifact is None:
-        artifact = compute()
-        write(path, artifact)
-    return artifact
-
-
 def _write_artifact(path, cfg_hash, lines) -> None:
     text = _hash_line(cfg_hash) + "".join(f"{line}\n" for line in lines)
     _replace(path, lambda tmp: Path(tmp).write_text(text))
@@ -255,35 +248,24 @@ def _table(names, *cols) -> list[tuple]:
             for key, vals in zip(keys, zip(*(np.ravel(col).tolist() for col in cols)))]
 
 
-def _csv_loader(n_rows: int):
-    """Loader of a CSV artifact that is whole with a header and n_rows rows."""
-    def load(fh):
-        found, body = _hash_of(fh), fh.read()
-        return found, (body.endswith(b"\n") and body.count(b"\n") == n_rows + 1) or None
-    return load
+def _body(fh):
+    """The bytes after a text artifact's hash line; None without a final newline."""
+    found, body = _hash_of(fh), fh.read()
+    return found, body if body.endswith(b"\n") else None
 
 
-def _load_gp(fh):
-    doc = json.load(fh)  # parsed once: the hash and the model come from one read
-    return doc.get("config_hash"), gp.load_model(doc)
+def _gp_doc(fh):
+    doc = json.load(fh)  # parsed only: gp.load_model factorizes it on first use
+    return doc.get("config_hash"), doc
 
 
-def _chain_loader(n_samples: int, n_burn: int):
-    """Loader of a chain file that is whole with n_samples complete rows."""
-    def load(fh):
-        found = _hash_of(fh)
-        fh.seek(-1, os.SEEK_END)
-        if fh.read(1) != b"\n":
-            return found, None
-        arr = np.loadtxt(fh.name, delimiter=",", skiprows=2, ndmin=2)  # hash, header
-        if arr.shape[0] != n_samples:
-            return found, None
-        acc = arr[:, -1].astype(bool)
-        return found, PosteriorChain(
-            draws=arr[:, 1:-2], log_posterior_values=arr[:, -2], accepted=acc,
-            acceptance_rate=float(acc[n_burn:].mean()), scale_history=[], n_burn=n_burn,
-        )
-    return load
+def _read_chain(path, n_burn: int) -> PosteriorChain:
+    arr = np.loadtxt(path, delimiter=",", skiprows=2, ndmin=2)  # hash, header
+    acc = arr[:, -1].astype(bool)
+    return PosteriorChain(
+        draws=arr[:, 1:-2], log_posterior_values=arr[:, -2], accepted=acc,
+        acceptance_rate=float(acc[n_burn:].mean()), scale_history=[], n_burn=n_burn,
+    )
 
 
 # ------------------------------------------------------------------- pipeline
@@ -293,6 +275,12 @@ def run_pipeline(config_path, out_override=None, seed_override=None, stages=None
 
     Without stages this is ``mbcal run``: calibrate, validate and export, plus
     screen and sobol when the config's run_screen and run_sobol ask for them.
+    Validate and export include the stages they read.
+
+    A stage is rebuilt only when one of its artifacts is missing or cut short,
+    or when its input was rebuilt in this run, along GP_CC/GP_MD -> a mode's
+    chains -> its summaries -> validate -> export. A rebuilt stage hands its
+    results on in memory; any other is neither recomputed nor rewritten.
     """
     cfg = load_config(config_path, out_override, seed_override)
     cfg_hash = cfg.hash()
@@ -313,6 +301,19 @@ def run_pipeline(config_path, out_override=None, seed_override=None, stages=None
     def out(*parts):
         return os.path.join(cfg.out_dir, *parts)
 
+    def whole(rel, n_lines):
+        """The body of artifact rel when it holds n_lines lines after its hash line."""
+        body = _reuse(out(rel), cfg_hash, _body)
+        return body if body is not None and body.count(b"\n") == n_lines else None
+
+    def rebuild(input_rebuilt, *artifacts):
+        """Whether a stage with these (rel, n_lines) artifacts is rebuilt; each
+        is checked, so one under another hash is refused all the same."""
+        return None in [whole(*a) for a in artifacts] or input_rebuilt
+
+    def read_chains(rels):
+        return [_read_chain(out(rel), cfg.n_burn) for rel in rels]
+
     with stage("ingest"):
         cases = ingest_csv(cfg.dataset_path)
     with stage("partition"):
@@ -320,155 +321,180 @@ def run_pipeline(config_path, out_override=None, seed_override=None, stages=None
     by_id = {c.case_id: c for c in cases}
     val_cases = [by_id[i] for i in sorted(partition.validation_ids)]
     x_fixed = by_id[min(partition.calibration_ids)].x.as_array()
+    n_loc = len(LOCATION_NAMES)
 
-    # refuse before overwriting anything
-    _reuse(out("manifest.txt"), cfg_hash, lambda fh: (_hash_of(fh), True))
-    _write_artifact(out("manifest.txt"), cfg_hash,
-                    [f"{k} = {cfg.raw[k]}" for k in sorted(cfg.raw)])
+    manifest = [f"{k} = {cfg.raw[k]}" for k in sorted(cfg.raw)]
+    # refuse before overwriting anything; rewrite only a changed manifest
+    if _reuse(out("manifest.txt"), cfg_hash, _body) != "".join(
+            f"{line}\n" for line in manifest).encode():
+        _write_artifact(out("manifest.txt"), cfg_hash, manifest)
 
     if "screen" in stages:
         with stage("screen"):
-            _cached(
-                out("screening.csv"), cfg_hash,
-                _csv_loader(len(SCREEN_NAMES) * len(LOCATION_NAMES)),
+            if not whole("screening.csv", 1 + len(SCREEN_NAMES) * n_loc):
                 # parameters 5-8 are inert dummies, mirroring the screened-out catalog
-                lambda: oat_screen(
+                res = oat_screen(
                     lambda x, theta8: code_model_arrays(x, theta8[:, :4]), x_fixed,
                     [SCREEN_RANGE] * 8, n=cfg.screen_points,
                     threshold=cfg.screen_threshold, names=SCREEN_NAMES,
-                ),
-                lambda path, res: _write_csv(
-                    path, cfg_hash, "parameter,output,variance,selected",
-                    _table(res.names, res.variances,
-                           [[int(n in res.selected)] * 3 for n in res.names]),
-                ),
-            )
+                )
+                _write_csv(out("screening.csv"), cfg_hash, "parameter,output,variance,selected",
+                           _table(res.names, res.variances,
+                                  [[int(n in res.selected)] * 3 for n in res.names]))
 
     if "sobol" in stages:
         with stage("sobol"):
-            _cached(
-                out("sobol.csv"), cfg_hash,
-                _csv_loader(len(PARAMETER_NAMES) * len(LOCATION_NAMES)),
-                lambda: sobol_indices(
+            if not whole("sobol.csv", 1 + len(PARAMETER_NAMES) * n_loc):
+                res = sobol_indices(
                     lambda th: code_model_arrays(np.broadcast_to(x_fixed, th.shape), th),
                     cfg.prior.ranges, cfg.sobol_n_base, seed=cfg.seed,
-                ),
-                lambda path, res: _write_csv(
-                    path, cfg_hash, "parameter,output,first_order,total",
-                    _table(PARAMETER_NAMES, res.first_order, res.total),
-                ),
-            )
+                )
+                _write_csv(out("sobol.csv"), cfg_hash, "parameter,output,first_order,total",
+                           _table(PARAMETER_NAMES, res.first_order, res.total))
 
     if not stages & {"calibrate", "validate", "export"}:
         return 0
 
-    def save_gp(path, model):
-        _replace(path, lambda tmp: gp.save_model(model, tmp, {"config_hash": cfg_hash}))
+    def gp_file(rel, build):
+        """(the model at rel, whether it was rebuilt): a file that parses is
+        factorized on first use only, else build() is fitted and saved."""
+        doc = _reuse(out(rel), cfg_hash, _gp_doc)
+        if doc is not None:
+            return functools.cache(lambda: gp.load_model(doc)), False
+        model = build()
+        _replace(out(rel), lambda tmp: gp.save_model(model, tmp, {"config_hash": cfg_hash}))
+        return (lambda: model), True
 
     mcmc_cfg = McmcConfig(
         init=np.ones(4),
         initial_proposal_cov=np.eye(4) * (0.05 * (cfg.prior.hi - cfg.prior.lo)) ** 2,
         n_samples=cfg.n_samples, n_burn=cfg.n_burn, seed=cfg.seed,
     )
-    load_chain = _chain_loader(cfg.n_samples, cfg.n_burn)
-    results = {}
+    ids_val = [c.case_id for c in val_cases]
+    xs_val = np.array([c.x.as_array() for c in val_cases])
+    y_val = np.array([c.y_exp.as_array() for c in val_cases])
+    nominal_val = functools.cache(lambda: code_model_arrays(xs_val, np.ones_like(xs_val)))
+    n_val = len(val_cases) * n_loc
+    per_chain = (cfg.n_samples - cfg.n_burn) // cfg.thin
+    n_diag = 2 * len(PARAMETER_NAMES) + cfg.chains + 1
+    converged = []
     with stage("calibrate"):
-        gp_cc = _cached(out("gp_cc.json"), cfg_hash, _load_gp, lambda: build_gp_cc(
+        gp_cc, rebuilt_cc = gp_file("gp_cc.json", lambda: build_gp_cc(
             partition, cases, code_model_arrays, cfg.theta_design_size, cfg.prior,
             seed=cfg.seed, restarts=cfg.gp_restarts,
-        ), save_gp)
-        for mode in cfg.modes:
-            os.makedirs(out(mode.value), exist_ok=True)
-            gp_md = None
+        ))
+    for mode in cfg.modes:
+        d = mode.value
+        os.makedirs(out(d), exist_ok=True)
+        chain_rels = [f"{d}/chain_{k + 1}.csv" for k in range(cfg.chains)]
+        result = chains = None
+        with stage("calibrate"):
+            gp_md, rebuilt = (lambda: None), rebuilt_cc
             if mode is CalibrationMode.WithDiscrepancy:
-                gp_md = _cached(out(mode.value, "gp_md.json"), cfg_hash, _load_gp,
-                                lambda: build_gp_md(partition, cases, code_model_arrays,
-                                                    restarts=cfg.gp_restarts,
-                                                    seed=cfg.seed + 1), save_gp)
-            pair = SurrogatePair(gp_cc=gp_cc, gp_md=gp_md)
-            paths = [out(mode.value, f"chain_{k + 1}.csv") for k in range(cfg.chains)]
-            chains = [_reuse(p, cfg_hash, load_chain) for p in paths]
-            if all(c is not None for c in chains):
-                result = summarize(mode, pair, chains)
-            else:
-                result = calibrate(pair, cases, partition, mode, cfg.prior, mcmc_cfg,
-                                   cfg.chains)
-                for p, chain in zip(paths, result.chains):
-                    _replace(p, lambda tmp: chain.to_csv(
+                gp_md, rebuilt_md = gp_file(f"{d}/gp_md.json", lambda: build_gp_md(
+                    partition, cases, code_model_arrays, restarts=cfg.gp_restarts,
+                    seed=cfg.seed + 1))
+                rebuilt = rebuilt or rebuilt_md
+            if rebuild(rebuilt, *((rel, 1 + cfg.n_samples) for rel in chain_rels)):
+                result = calibrate(SurrogatePair(gp_cc=gp_cc(), gp_md=gp_md()), cases,
+                                   partition, mode, cfg.prior, mcmc_cfg, cfg.chains)
+                chains, rebuilt = result.chains, True
+                for rel, chain in zip(chain_rels, chains):
+                    _replace(out(rel), lambda tmp: chain.to_csv(
                         tmp, header_extra=_hash_line(cfg_hash)))
-            stats = ("mean", "std", "p2.5", "p50", "p97.5")
-            _write_csv(out(mode.value, "posterior_summary.csv"), cfg_hash,
-                       "parameter," + ",".join(stats),
-                       [(n, *(s[k] for k in stats)) for n, s in result.summary.items()])
-            _write_csv(out(mode.value, "posterior_correlation.csv"), cfg_hash,
-                       "parameter," + ",".join(PARAMETER_NAMES),
-                       [(n, *row) for n, row in zip(PARAMETER_NAMES, result.correlation)])
-            diag = result.diagnostics
-            lines = []
-            for j, name in enumerate(PARAMETER_NAMES):
-                lines.append(f"rhat {name} = {diag['rhat'][j]:.6f}")
-                lines.append(f"ess {name} = {diag['ess'][j]:.1f}")
-            for k, a in enumerate(diag["acceptance"]):
-                lines.append(f"acceptance chain_{k + 1} = {a:.4f}")
-            lines.append(f"converged = {result.converged}")
-            _write_artifact(out(mode.value, "diagnostics.txt"), cfg_hash, lines)
-            results[mode] = result
+            if rebuild(rebuilt, (f"{d}/posterior_summary.csv", 5),
+                       (f"{d}/posterior_correlation.csv", 5), (f"{d}/diagnostics.txt", n_diag)):
+                chains = chains or read_chains(chain_rels)
+                result = result or summarize(mode, chains)
+                stats = ("mean", "std", "p2.5", "p50", "p97.5")
+                _write_csv(out(d, "posterior_summary.csv"), cfg_hash,
+                           "parameter," + ",".join(stats),
+                           [(n, *(s[k] for k in stats)) for n, s in result.summary.items()])
+                _write_csv(out(d, "posterior_correlation.csv"), cfg_hash,
+                           "parameter," + ",".join(PARAMETER_NAMES),
+                           [(n, *row) for n, row in zip(PARAMETER_NAMES, result.correlation)])
+                diag = result.diagnostics
+                lines = []
+                for j, name in enumerate(PARAMETER_NAMES):
+                    lines.append(f"rhat {name} = {diag['rhat'][j]:.6f}")
+                    lines.append(f"ess {name} = {diag['ess'][j]:.1f}")
+                for k, a in enumerate(diag["acceptance"]):
+                    lines.append(f"acceptance chain_{k + 1} = {a:.4f}")
+                lines.append(f"converged = {result.converged}")
+                _write_artifact(out(d, "diagnostics.txt"), cfg_hash, lines)
+                rebuilt = True
+            converged.append(result.converged if rebuilt else whole(
+                f"{d}/diagnostics.txt", n_diag).endswith(b"converged = True\n"))
 
-    if stages & {"validate", "export"}:
-        ids_val = [c.case_id for c in val_cases]
-        xs_val = np.array([c.x.as_array() for c in val_cases])
-        y_val = np.array([c.y_exp.as_array() for c in val_cases])
-        prior_val = code_model_arrays(xs_val, np.ones_like(xs_val))
-        for mode, result in results.items():
-            pooled = result.pooled_draws()
-            with stage("validate"):
+        if not stages & {"validate", "export"}:
+            continue
+        post_mean = None
+        with stage("validate"):
+            artifacts = [(f"{d}/validation_report.csv", 1 + n_val), (f"{d}/rmse_summary.txt", 3)]
+            if mode is CalibrationMode.WithDiscrepancy:
+                artifacts.append((f"{d}/validation_with_discrepancy.csv", 1 + n_val))
+            if rebuild(rebuilt, *artifacts):
+                chains = chains or read_chains(chain_rels)
+                pooled = np.concatenate([c.post_burn for c in chains])
                 summary = propagate(code_model_arrays, val_cases, pooled,
                                     n_use=min(cfg.n_propagate, pooled.shape[0]))
-                report = rmse_report(summary, prior_val, val_cases)
-            if "validate" in stages:
+                report = rmse_report(summary, nominal_val(), val_cases)
                 _write_csv(
-                    out(mode.value, "validation_report.csv"), cfg_hash,
+                    out(d, "validation_report.csv"), cfg_hash,
                     "case_id,location,y_exp,y_prior,y_post_mean,y_post_std,"
                     "p2.5,p97.5,covered",
-                    _table(ids_val, y_val, prior_val, summary.mean, summary.std,
+                    _table(ids_val, y_val, nominal_val(), summary.mean, summary.std,
                            summary.p025, summary.p975, report.covered.astype(int)),
                 )
-                _write_artifact(out(mode.value, "rmse_summary.txt"), cfg_hash, [
+                _write_artifact(out(d, "rmse_summary.txt"), cfg_hash, [
                     f"rmse y_M(theta=1) = {report.rmse_prior:.6f}",
-                    f"rmse y_M(theta_post) {mode.value} = {report.rmse_posterior:.6f}",
+                    f"rmse y_M(theta_post) {d} = {report.rmse_posterior:.6f}",
                     f"coverage_95 = {report.coverage_95:.4f}",
                 ])
-                if mode is CalibrationMode.WithDiscrepancy and result.pair.gp_md:
+                if mode is CalibrationMode.WithDiscrepancy:
                     # supplementary: code + learned discrepancy predictions
-                    md_mean, _ = gp.predict(result.pair.gp_md, xs_val)
-                    _write_csv(out(mode.value, "validation_with_discrepancy.csv"),
+                    md_mean, _ = gp.predict(gp_md(), xs_val)
+                    _write_csv(out(d, "validation_with_discrepancy.csv"),
                                cfg_hash, "case_id,location,y_exp,y_post_plus_md",
                                _table(ids_val, y_val, summary.mean + md_mean))
+                post_mean, rebuilt = summary.mean, True
 
-            if "export" in stages:
-                keep = (len(result.chains[0].post_burn) // cfg.thin) * cfg.thin
-                pairs = [(k + 1, t, *th) for k, chain in enumerate(result.chains)
-                         for t, th in enumerate(chain.post_burn[:keep:cfg.thin].tolist())]
-                _write_csv(out(mode.value, "posterior_pairs.csv"), cfg_hash,
+        if "export" not in stages:
+            continue
+        with stage("export"):
+            if rebuild(rebuilt, (f"{d}/posterior_pairs.csv", 1 + cfg.chains * per_chain),
+                       (f"{d}/posterior_marginals.csv", 1 + 40 * len(PARAMETER_NAMES)),
+                       (f"{d}/validation_errors.csv", 1 + n_val)):
+                chains = chains or read_chains(chain_rels)
+                if post_mean is None:  # validate is fresh; %.17g reads back exactly
+                    post_mean = np.loadtxt(out(d, "validation_report.csv"), delimiter=",",
+                                           skiprows=2, usecols=4).reshape(-1, n_loc)
+                pairs = [(k + 1, t, *th) for k, chain in enumerate(chains)
+                         for t, th in enumerate(
+                             chain.post_burn[:per_chain * cfg.thin:cfg.thin].tolist())]
+                _write_csv(out(d, "posterior_pairs.csv"), cfg_hash,
                            "chain,step," + ",".join(PARAMETER_NAMES), pairs)
+                pooled = np.concatenate([c.post_burn for c in chains])
                 rows = []
                 for j, name in enumerate(PARAMETER_NAMES):
                     counts, edges = np.histogram(pooled[:, j], bins=40)
                     rows += [(name, edges[b], edges[b + 1], counts[b]) for b in range(40)]
-                _write_csv(out(mode.value, "posterior_marginals.csv"), cfg_hash,
+                _write_csv(out(d, "posterior_marginals.csv"), cfg_hash,
                            "parameter,bin_lo,bin_hi,count", rows)
-                _write_csv(out(mode.value, "validation_errors.csv"), cfg_hash,
+                _write_csv(out(d, "validation_errors.csv"), cfg_hash,
                            "case_id,location,error_prior,error_posterior",
-                           _table(ids_val, y_val - prior_val, y_val - summary.mean))
+                           _table(ids_val, y_val - nominal_val(), y_val - post_mean))
 
     if "export" in stages:
-        xs = np.array([c.x.as_array() for c in cases])
-        _write_csv(out("scatter_prior.csv"), cfg_hash, "case_id,location,y_exp,y_prior",
-                   _table([c.case_id for c in cases],
-                          [c.y_exp.as_array() for c in cases],
-                          code_model_arrays(xs, np.ones_like(xs))))
+        with stage("export"):
+            if not whole("scatter_prior.csv", 1 + len(cases) * n_loc):
+                xs = np.array([c.x.as_array() for c in cases])
+                _write_csv(out("scatter_prior.csv"), cfg_hash, "case_id,location,y_exp,y_prior",
+                           _table([c.case_id for c in cases],
+                                  [c.y_exp.as_array() for c in cases],
+                                  code_model_arrays(xs, np.ones_like(xs))))
 
-    return 0 if all(r.converged for r in results.values()) else 2
+    return 0 if all(converged) else 2
 
 
 # ------------------------------------------------------------------------ CLI
@@ -500,15 +526,7 @@ def main(argv=None) -> int:
     p.add_argument("--no-discrepancy", action="store_true")
     p.add_argument("--seed", type=int, default=0)
 
-    stage_of = {
-        "screen": {"screen"},
-        "sobol": {"sobol"},
-        "calibrate": {"calibrate"},
-        "validate": {"calibrate", "validate"},
-        "export": {"calibrate", "validate", "export"},
-        "run": None,
-    }
-    for name in stage_of:
+    for name in ("screen", "sobol", "calibrate", "validate", "export", "run"):
         p = sub.add_parser(name)
         p.add_argument("--config", required=True)
         p.add_argument("--out", default=None)
@@ -520,7 +538,7 @@ def main(argv=None) -> int:
             return _cmd_synth_gen(args)
         return run_pipeline(
             args.config, out_override=args.out, seed_override=args.seed,
-            stages=stage_of[args.command],
+            stages=None if args.command == "run" else {args.command},
         )
     except (ValueError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

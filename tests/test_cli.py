@@ -330,14 +330,56 @@ def test_pipeline_screening_selects_active_only(small_run):
     assert selected == {"P1008", "P1012", "P1022", "P1028"}
 
 
+def _tree(out):
+    """(bytes, inode, mtime) of every file under out, by relative path."""
+    return {str(p.relative_to(out)): (p.read_bytes(), p.stat().st_ino, p.stat().st_mtime_ns)
+            for p in sorted(out.rglob("*")) if p.is_file()}
+
+
 def test_pipeline_resume_and_determinism(small_run, tmp_path, dataset):
-    _, cfg_path, out = small_run
-    before = open(out / "with_discrepancy" / "posterior_summary.csv").read()
-    # resume: identical config re-run must reuse chains and reproduce summaries
-    rc = run_pipeline(cfg_path)
-    assert rc in (0, 2)
-    after = open(out / "with_discrepancy" / "posterior_summary.csv").read()
-    assert before == after
+    rc, cfg_path, out = small_run
+    before = _tree(out)
+    # a resume of a finished run recomputes and rewrites nothing, the manifest
+    # included, and exits as the cold run did
+    assert run_pipeline(cfg_path) == rc
+    assert _tree(out) == before
+
+
+def test_pipeline_resume_after_gp_rebuild_resamples_chains(small_run, tmp_path, dataset):
+    # a refitted GP_CC is a rebuilt input: every mode's chains are sampled
+    # again against it, and everything downstream of them is rebuilt
+    rc, _, out = small_run
+    out2 = tmp_path / "copy"
+    shutil.copytree(out, out2)
+    (out2 / "gp_cc.json").unlink()
+    before = _tree(out2)
+    assert run_pipeline(write_config(tmp_path / "c.cfg", dataset, out2)) == rc
+    after = _tree(out2)
+    assert set(after) == set(before) | {"gp_cc.json"}
+    for name, (blob, ino, _) in after.items():
+        if name != "manifest.txt":  # it records out_dir
+            assert blob == (out / name).read_bytes(), name
+        if "chain_" in name:
+            assert ino != before[name][1], name
+
+
+def test_validate_then_export_propagates_once_per_mode(small_run, tmp_path, dataset,
+                                                        monkeypatch):
+    _, _, one_shot = small_run
+    calls = []
+    propagate = mbcal.cli.propagate
+    monkeypatch.setattr(mbcal.cli, "propagate",
+                        lambda *a, **k: calls.append(1) or propagate(*a, **k))
+    out = tmp_path / "out"
+    cfg_path = str(write_config(tmp_path / "c.cfg", dataset, out))
+    assert main(["validate", "--config", cfg_path]) in (0, 2)
+    assert main(["export", "--config", cfg_path]) in (0, 2)
+    assert len(calls) == 2  # export reads validate's y_post_mean column
+    for mode in ("with_discrepancy", "no_discrepancy"):
+        name = f"{mode}/validation_errors.csv"
+        assert (out / name).read_bytes() == (one_shot / name).read_bytes(), name
+    assert main(["run", "--config", cfg_path]) in (0, 2)
+    assert len(calls) == 2  # a resume of a finished run propagates nothing
 
 
 def test_pipeline_resume_refused_on_config_change(small_run, tmp_path, dataset):
@@ -469,21 +511,31 @@ def test_main_reports_errors(tmp_path, capsys):
     ("sobol.csv", "sobol", {"run_sobol": "true", "sobol_n_base": "64"}),
     ("gp_cc.json", "calibrate", {}),
     ("with_discrepancy/gp_md.json", "calibrate", {}),
+    ("with_discrepancy/diagnostics.txt", "calibrate", {}),
+    ("no_discrepancy/validation_report.csv", "validate", {}),
+    ("with_discrepancy/posterior_pairs.csv", "export", {}),
+    ("scatter_prior.csv", "export", {}),
 ])
 def test_pipeline_resume_recomputes_short_fixed_row_artifact(tmp_path, dataset,
                                                              name, stage, extra):
-    # screening.csv holds 8 x 3 rows and sobol.csv 4 x 3: a file cut to 5
+    # every artifact holds a row count the config fixes: a file cut to 5
     # lines keeps its hash line, one cut to 10 bytes not even that; both
     # must be recomputed, not reused or refused. A GP file is one JSON line,
-    # so only the 10-byte cut changes it, and it no longer parses.
-    ok = (0, 2) if stage == "calibrate" else (0,)  # 2: chains did not converge
+    # so only the 10-byte cut changes it, and it no longer parses. An
+    # artifact downstream of the chains is rebuilt from the chain files,
+    # which are read, not rewritten.
+    ok = (0,) if stage in ("screen", "sobol") else (0, 2)  # 2: chains did not converge
     fresh = write_config(tmp_path / "a.cfg", dataset, tmp_path / "a", **extra)
     assert run_pipeline(fresh, stages={stage}) in ok
     expected = (tmp_path / "a" / name).read_bytes()
     cfg_path = write_config(tmp_path / "b.cfg", dataset, tmp_path / "b", **extra)
     assert run_pipeline(cfg_path, stages={stage}) in ok
     path = tmp_path / "b" / name
+    inputs = {p: p.stat().st_ino for p in (tmp_path / "b").rglob("*")
+              if p.name.startswith(("chain_", "gp_"))}
     for cut in (b"".join(expected.splitlines(keepends=True)[:5]), expected[:10]):
         path.write_bytes(cut)
         assert run_pipeline(cfg_path, stages={stage}) in ok
         assert path.read_bytes() == expected
+        if not name.endswith(".json"):
+            assert {p: p.stat().st_ino for p in inputs} == inputs
