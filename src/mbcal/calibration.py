@@ -107,7 +107,7 @@ def build_gp_cc(
     case_seeds = np.random.SeedSequence(seed).generate_state(len(cal_cases))
     rows_x, rows_y = [], []
     for case, cseed in zip(cal_cases, case_seeds):
-        design = lhs_sample(theta_design_size, prior.ranges, seed=int(cseed)).points
+        design = lhs_sample(theta_design_size, prior.ranges, seed=int(cseed))
         x = np.broadcast_to(case.x.as_array(), design.shape)
         try:
             y = np.asarray(runner(x, design), dtype=float)
@@ -219,9 +219,6 @@ class CalibrationResult:
     summary: dict            # per-parameter stats over pooled post-burn draws
     correlation: np.ndarray  # (4, 4)
     converged: bool
-
-    def pooled_draws(self) -> np.ndarray:
-        return np.concatenate([c.post_burn for c in self.chains])
 
 
 def summarize(mode: CalibrationMode, chains: list[PosteriorChain]) -> CalibrationResult:

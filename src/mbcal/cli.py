@@ -277,10 +277,10 @@ def run_pipeline(config_path, out_override=None, seed_override=None, stages=None
     screen and sobol when the config's run_screen and run_sobol ask for them.
     Validate and export include the stages they read.
 
-    A stage is rebuilt only when one of its artifacts is missing or cut short,
-    or when its input was rebuilt in this run, along GP_CC/GP_MD -> a mode's
-    chains -> its summaries -> validate -> export. A rebuilt stage hands its
-    results on in memory; any other is neither recomputed nor rewritten.
+    A stage is rebuilt only when one of its artifacts is missing or cut short.
+    A rebuilt GP resamples the chains that use it, and resampling first
+    deletes every later artifact of the mode. A rebuilt stage hands its results on
+    in memory; any other is neither recomputed nor rewritten.
     """
     cfg = load_config(config_path, out_override, seed_override)
     cfg_hash = cfg.hash()
@@ -290,6 +290,8 @@ def run_pipeline(config_path, out_override=None, seed_override=None, stages=None
         | ({"screen"} if cfg.run_screen else set())
         | ({"sobol"} if cfg.run_sobol else set())
     )
+    if stages & {"validate", "export"}:
+        stages |= {"calibrate", "validate"}
 
     @contextmanager
     def stage(name):
@@ -306,13 +308,19 @@ def run_pipeline(config_path, out_override=None, seed_override=None, stages=None
         body = _reuse(out(rel), cfg_hash, _body)
         return body if body is not None and body.count(b"\n") == n_lines else None
 
-    def rebuild(input_rebuilt, *artifacts):
-        """Whether a stage with these (rel, n_lines) artifacts is rebuilt; each
-        is checked, so one under another hash is refused all the same."""
-        return None in [whole(*a) for a in artifacts] or input_rebuilt
+    def stale(artifacts):
+        """Whether any of these (rel, n_lines) artifacts is missing or cut short;
+        each is checked, so one under another hash is refused all the same."""
+        return None in [whole(*a) for a in artifacts]
 
-    def read_chains(rels):
-        return [_read_chain(out(rel), cfg.n_burn) for rel in rels]
+    def drop(artifacts):
+        """Delete these artifacts, each checked first so one under another hash is refused."""
+        stale(artifacts)
+        for rel, _ in artifacts:
+            Path(out(rel)).unlink(missing_ok=True)
+
+    def read_chains(artifacts):
+        return [_read_chain(out(rel), cfg.n_burn) for rel, _ in artifacts]
 
     with stage("ingest"):
         cases = ingest_csv(cfg.dataset_path)
@@ -329,30 +337,28 @@ def run_pipeline(config_path, out_override=None, seed_override=None, stages=None
             f"{line}\n" for line in manifest).encode():
         _write_artifact(out("manifest.txt"), cfg_hash, manifest)
 
-    if "screen" in stages:
-        with stage("screen"):
-            if not whole("screening.csv", 1 + len(SCREEN_NAMES) * n_loc):
-                # parameters 5-8 are inert dummies, mirroring the screened-out catalog
-                res = oat_screen(
-                    lambda x, theta8: code_model_arrays(x, theta8[:, :4]), x_fixed,
-                    [SCREEN_RANGE] * 8, n=cfg.screen_points,
-                    threshold=cfg.screen_threshold, names=SCREEN_NAMES,
-                )
-                _write_csv(out("screening.csv"), cfg_hash, "parameter,output,variance,selected",
-                           _table(res.names, res.variances,
-                                  [[int(n in res.selected)] * 3 for n in res.names]))
+    with stage("screen"):
+        if "screen" in stages and not whole("screening.csv", 1 + len(SCREEN_NAMES) * n_loc):
+            # parameters 5-8 are inert dummies, mirroring the screened-out catalog
+            res = oat_screen(
+                lambda x, theta8: code_model_arrays(x, theta8[:, :4]), x_fixed,
+                [SCREEN_RANGE] * 8, n=cfg.screen_points,
+                threshold=cfg.screen_threshold, names=SCREEN_NAMES,
+            )
+            _write_csv(out("screening.csv"), cfg_hash, "parameter,output,variance,selected",
+                       _table(res.names, res.variances,
+                              [[int(n in res.selected)] * 3 for n in res.names]))
 
-    if "sobol" in stages:
-        with stage("sobol"):
-            if not whole("sobol.csv", 1 + len(PARAMETER_NAMES) * n_loc):
-                res = sobol_indices(
-                    lambda th: code_model_arrays(np.broadcast_to(x_fixed, th.shape), th),
-                    cfg.prior.ranges, cfg.sobol_n_base, seed=cfg.seed,
-                )
-                _write_csv(out("sobol.csv"), cfg_hash, "parameter,output,first_order,total",
-                           _table(PARAMETER_NAMES, res.first_order, res.total))
+    with stage("sobol"):
+        if "sobol" in stages and not whole("sobol.csv", 1 + len(PARAMETER_NAMES) * n_loc):
+            res = sobol_indices(
+                lambda th: code_model_arrays(np.broadcast_to(x_fixed, th.shape), th),
+                cfg.prior.ranges, cfg.sobol_n_base, seed=cfg.seed,
+            )
+            _write_csv(out("sobol.csv"), cfg_hash, "parameter,output,first_order,total",
+                       _table(PARAMETER_NAMES, res.first_order, res.total))
 
-    if not stages & {"calibrate", "validate", "export"}:
+    if "calibrate" not in stages:
         return 0
 
     def gp_file(rel, build):
@@ -386,25 +392,36 @@ def run_pipeline(config_path, out_override=None, seed_override=None, stages=None
     for mode in cfg.modes:
         d = mode.value
         os.makedirs(out(d), exist_ok=True)
-        chain_rels = [f"{d}/chain_{k + 1}.csv" for k in range(cfg.chains)]
+        arts = {  # the mode's stages after its GPs: (rel, n_lines) per artifact
+            "chains": [(f"{d}/chain_{k + 1}.csv", 1 + cfg.n_samples) for k in range(cfg.chains)],
+            "summaries": [(f"{d}/posterior_summary.csv", 5),
+                          (f"{d}/posterior_correlation.csv", 5),
+                          (f"{d}/diagnostics.txt", n_diag)],
+            "validate": [(f"{d}/validation_report.csv", 1 + n_val), (f"{d}/rmse_summary.txt", 3),
+                         (f"{d}/validation_errors.csv", 1 + n_val)]
+                        + ([(f"{d}/validation_with_discrepancy.csv", 1 + n_val)]
+                           if mode is CalibrationMode.WithDiscrepancy else []),
+            "export": [(f"{d}/posterior_pairs.csv", 1 + cfg.chains * per_chain),
+                       (f"{d}/posterior_marginals.csv", 1 + 40 * len(PARAMETER_NAMES))],
+        }
         result = chains = None
         with stage("calibrate"):
-            gp_md, rebuilt = (lambda: None), rebuilt_cc
+            gp_md, rebuilt_md = (lambda: None), False
             if mode is CalibrationMode.WithDiscrepancy:
                 gp_md, rebuilt_md = gp_file(f"{d}/gp_md.json", lambda: build_gp_md(
                     partition, cases, code_model_arrays, restarts=cfg.gp_restarts,
                     seed=cfg.seed + 1))
-                rebuilt = rebuilt or rebuilt_md
-            if rebuild(rebuilt, *((rel, 1 + cfg.n_samples) for rel in chain_rels)):
+            if stale(arts["chains"]) or rebuilt_cc or rebuilt_md:
+                # no later artifact may outlive the old chains, even if this command stops
+                drop(arts["summaries"] + arts["validate"] + arts["export"])
                 result = calibrate(SurrogatePair(gp_cc=gp_cc(), gp_md=gp_md()), cases,
                                    partition, mode, cfg.prior, mcmc_cfg, cfg.chains)
-                chains, rebuilt = result.chains, True
-                for rel, chain in zip(chain_rels, chains):
+                chains = result.chains
+                for (rel, _), chain in zip(arts["chains"], chains):
                     _replace(out(rel), lambda tmp: chain.to_csv(
                         tmp, header_extra=_hash_line(cfg_hash)))
-            if rebuild(rebuilt, (f"{d}/posterior_summary.csv", 5),
-                       (f"{d}/posterior_correlation.csv", 5), (f"{d}/diagnostics.txt", n_diag)):
-                chains = chains or read_chains(chain_rels)
+            if stale(arts["summaries"]):
+                chains = chains or read_chains(arts["chains"])
                 result = result or summarize(mode, chains)
                 stats = ("mean", "std", "p2.5", "p50", "p97.5")
                 _write_csv(out(d, "posterior_summary.csv"), cfg_hash,
@@ -422,19 +439,12 @@ def run_pipeline(config_path, out_override=None, seed_override=None, stages=None
                     lines.append(f"acceptance chain_{k + 1} = {a:.4f}")
                 lines.append(f"converged = {result.converged}")
                 _write_artifact(out(d, "diagnostics.txt"), cfg_hash, lines)
-                rebuilt = True
-            converged.append(result.converged if rebuilt else whole(
+            converged.append(result.converged if result else whole(
                 f"{d}/diagnostics.txt", n_diag).endswith(b"converged = True\n"))
 
-        if not stages & {"validate", "export"}:
-            continue
-        post_mean = None
         with stage("validate"):
-            artifacts = [(f"{d}/validation_report.csv", 1 + n_val), (f"{d}/rmse_summary.txt", 3)]
-            if mode is CalibrationMode.WithDiscrepancy:
-                artifacts.append((f"{d}/validation_with_discrepancy.csv", 1 + n_val))
-            if rebuild(rebuilt, *artifacts):
-                chains = chains or read_chains(chain_rels)
+            if "validate" in stages and stale(arts["validate"]):
+                chains = chains or read_chains(arts["chains"])
                 pooled = np.concatenate([c.post_burn for c in chains])
                 summary = propagate(code_model_arrays, val_cases, pooled,
                                     n_use=min(cfg.n_propagate, pooled.shape[0]))
@@ -451,24 +461,19 @@ def run_pipeline(config_path, out_override=None, seed_override=None, stages=None
                     f"rmse y_M(theta_post) {d} = {report.rmse_posterior:.6f}",
                     f"coverage_95 = {report.coverage_95:.4f}",
                 ])
+                _write_csv(out(d, "validation_errors.csv"), cfg_hash,
+                           "case_id,location,error_prior,error_posterior",
+                           _table(ids_val, y_val - nominal_val(), y_val - summary.mean))
                 if mode is CalibrationMode.WithDiscrepancy:
                     # supplementary: code + learned discrepancy predictions
                     md_mean, _ = gp.predict(gp_md(), xs_val)
                     _write_csv(out(d, "validation_with_discrepancy.csv"),
                                cfg_hash, "case_id,location,y_exp,y_post_plus_md",
                                _table(ids_val, y_val, summary.mean + md_mean))
-                post_mean, rebuilt = summary.mean, True
 
-        if "export" not in stages:
-            continue
         with stage("export"):
-            if rebuild(rebuilt, (f"{d}/posterior_pairs.csv", 1 + cfg.chains * per_chain),
-                       (f"{d}/posterior_marginals.csv", 1 + 40 * len(PARAMETER_NAMES)),
-                       (f"{d}/validation_errors.csv", 1 + n_val)):
-                chains = chains or read_chains(chain_rels)
-                if post_mean is None:  # validate is fresh; %.17g reads back exactly
-                    post_mean = np.loadtxt(out(d, "validation_report.csv"), delimiter=",",
-                                           skiprows=2, usecols=4).reshape(-1, n_loc)
+            if "export" in stages and stale(arts["export"]):
+                chains = chains or read_chains(arts["chains"])
                 pairs = [(k + 1, t, *th) for k, chain in enumerate(chains)
                          for t, th in enumerate(
                              chain.post_burn[:per_chain * cfg.thin:cfg.thin].tolist())]
@@ -481,18 +486,13 @@ def run_pipeline(config_path, out_override=None, seed_override=None, stages=None
                     rows += [(name, edges[b], edges[b + 1], counts[b]) for b in range(40)]
                 _write_csv(out(d, "posterior_marginals.csv"), cfg_hash,
                            "parameter,bin_lo,bin_hi,count", rows)
-                _write_csv(out(d, "validation_errors.csv"), cfg_hash,
-                           "case_id,location,error_prior,error_posterior",
-                           _table(ids_val, y_val - nominal_val(), y_val - post_mean))
 
-    if "export" in stages:
-        with stage("export"):
-            if not whole("scatter_prior.csv", 1 + len(cases) * n_loc):
-                xs = np.array([c.x.as_array() for c in cases])
-                _write_csv(out("scatter_prior.csv"), cfg_hash, "case_id,location,y_exp,y_prior",
-                           _table([c.case_id for c in cases],
-                                  [c.y_exp.as_array() for c in cases],
-                                  code_model_arrays(xs, np.ones_like(xs))))
+    with stage("export"):
+        if "export" in stages and not whole("scatter_prior.csv", 1 + len(cases) * n_loc):
+            xs = np.array([c.x.as_array() for c in cases])
+            _write_csv(out("scatter_prior.csv"), cfg_hash, "case_id,location,y_exp,y_prior",
+                       _table([c.case_id for c in cases], [c.y_exp.as_array() for c in cases],
+                              code_model_arrays(xs, np.ones_like(xs))))
 
     return 0 if all(converged) else 2
 

@@ -67,10 +67,6 @@ class ParameterVector:
     def as_array(self) -> np.ndarray:
         return np.array(self.theta)
 
-    @classmethod
-    def ones(cls) -> "ParameterVector":
-        return cls((1.0, 1.0, 1.0, 1.0))
-
 
 @dataclass(frozen=True)
 class VoidMeasurement:

@@ -26,7 +26,6 @@ from .sampler import lhs_sample
 
 __all__ = [
     "KernelConfig",
-    "HyperBounds",
     "GpModel",
     "fit",
     "predict",
@@ -38,6 +37,9 @@ __all__ = [
     "load_model",
 ]
 
+# box of the L-BFGS-B search over (standardized) hyperparameters
+LENGTHSCALE_BOUNDS = (1e-2, 1e2)
+SIGNAL_VARIANCE_BOUNDS = (1e-3, 1e3)
 NUGGET_CEIL = 1e-4
 NUGGET_FLOOR = 1e-10
 
@@ -55,13 +57,6 @@ class KernelConfig:
         object.__setattr__(self, "lengthscales", ls)
         if np.any(ls <= 0) or self.signal_variance <= 0 or self.nugget <= 0:
             raise ValueError("kernel hyperparameters must be strictly positive")
-
-
-@dataclass(frozen=True)
-class HyperBounds:
-    lengthscale: tuple[float, float] = (1e-2, 1e2)
-    signal_variance: tuple[float, float] = (1e-3, 1e3)
-    nugget: tuple[float, float] = (NUGGET_FLOOR, NUGGET_CEIL)
 
 
 @dataclass
@@ -233,7 +228,6 @@ def _standardize(inputs: np.ndarray, outputs: np.ndarray):
 def fit(
     inputs: np.ndarray,
     outputs: np.ndarray,
-    bounds: HyperBounds | None = None,
     restarts: int = 8,
     seed: int = 0,
     shared: bool = False,
@@ -247,8 +241,6 @@ def fit(
         raise ValueError("inputs and outputs row counts differ")
     if n < d + 1:
         raise ValueError(f"need at least d+1={d + 1} training points, got {n}")
-    if bounds is None:
-        bounds = HyperBounds()
 
     x, y, in_lo, in_span, out_mean, out_std = _standardize(inputs, outputs)
 
@@ -257,22 +249,8 @@ def fit(
     if np.unique(rounded, axis=0).shape[0] < n:
         raise ValueError("duplicate training inputs")
 
-    log_lb = np.log(
-        np.concatenate(
-            [
-                np.full(d, bounds.lengthscale[0]),
-                [bounds.signal_variance[0], bounds.nugget[0]],
-            ]
-        )
-    )
-    log_ub = np.log(
-        np.concatenate(
-            [
-                np.full(d, bounds.lengthscale[1]),
-                [bounds.signal_variance[1], bounds.nugget[1]],
-            ]
-        )
-    )
+    log_lb = np.log([LENGTHSCALE_BOUNDS[0]] * d + [SIGNAL_VARIANCE_BOUNDS[0], NUGGET_FLOOR])
+    log_ub = np.log([LENGTHSCALE_BOUNDS[1]] * d + [SIGNAL_VARIANCE_BOUNDS[1], NUGGET_CEIL])
     opt_bounds = list(zip(log_lb, log_ub))
 
     model = GpModel(
@@ -282,9 +260,7 @@ def fit(
     lmls, record = [], []
     for cols in [list(range(y.shape[1]))] if shared else [[j] for j in range(y.shape[1])]:
         j, yj = cols[0], y[:, cols]
-        starts = lhs_sample(
-            restarts, list(zip(log_lb, log_ub)), seed=seed * 1000003 + j
-        ).points
+        starts = lhs_sample(restarts, opt_bounds, seed=seed * 1000003 + j)
         # bias the first start toward moderate lengthscales on [0,1] inputs
         starts[0] = np.concatenate([np.zeros(d) + np.log(0.5), [0.0, np.log(1e-8)]])
         starts[0] = np.clip(starts[0], log_lb, log_ub)
@@ -453,12 +429,6 @@ class SplitPredictor:
             raise FloatingPointError("predictive variance significantly negative")
         np.maximum(s2, 0.0, out=s2)
         return za[:, self.n:].T, s2
-
-    def __call__(self, tail: np.ndarray):
-        """Posterior mean and variance (de-standardized), each (q, m)."""
-        mu, s2 = self.standardized(np.asarray(tail, dtype=float))
-        model = self.model
-        return (mu.T * model.out_std + model.out_mean, s2[:, None] * model.out_std**2)
 
 
 def loo_cv(model: GpModel) -> list[dict]:

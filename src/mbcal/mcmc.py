@@ -14,6 +14,9 @@ import numpy as np
 
 __all__ = ["McmcConfig", "PosteriorChain", "adaptive_mh", "diagnostics"]
 
+TARGET_ACCEPTANCE = 0.234  # burn-in steers the acceptance rate toward this
+ADAPT_INTERVAL = 50        # burn-in steps between adaptations
+
 
 @dataclass(frozen=True)
 class McmcConfig:
@@ -21,8 +24,6 @@ class McmcConfig:
     initial_proposal_cov: np.ndarray
     n_samples: int = 20000
     n_burn: int = 4000
-    target_acceptance: float = 0.234
-    adapt_interval: int = 50
     seed: int = 0
     support: tuple[np.ndarray, np.ndarray] | None = None  # (lo, hi) box or None
 
@@ -33,10 +34,6 @@ class McmcConfig:
         object.__setattr__(self, "initial_proposal_cov", cov)
         if self.n_burn >= self.n_samples:
             raise ValueError("n_burn must be < n_samples")
-        if not 0.0 < self.target_acceptance < 1.0:
-            raise ValueError("target_acceptance must be in (0,1)")
-        if self.adapt_interval < 1:
-            raise ValueError("adapt_interval must be >= 1")
         d = init.size
         if cov.shape != (d, d):
             raise ValueError("proposal covariance shape must match init dimension")
@@ -82,9 +79,10 @@ class PosteriorChain:
 def adaptive_mh(log_post, config: McmcConfig) -> PosteriorChain:
     """Random-walk MH with proposal N(theta, s^2 C), adapting s and C in burn-in.
 
-    Every adapt_interval steps of burn-in the global scale follows
-    s <- s * exp(acc_window - target), and C is refreshed to the empirical
-    covariance of the draws so far (plus 1e-8 I) once 10*d draws exist.
+    Every ADAPT_INTERVAL steps of burn-in the global scale follows
+    s <- s * exp(acc_window - TARGET_ACCEPTANCE), and C is refreshed to the
+    empirical covariance of the draws so far (plus 1e-8 I) once 10*d draws
+    exist.
     Proposals outside the support box are rejected without a density call.
     """
     cfg = config
@@ -116,9 +114,9 @@ def adaptive_mh(log_post, config: McmcConfig) -> PosteriorChain:
         draws[t] = cur
         lps[t] = cur_lp
 
-        if t < cfg.n_burn and (t + 1) % cfg.adapt_interval == 0:
-            window = acc[t + 1 - cfg.adapt_interval: t + 1].mean()
-            s *= np.exp(window - cfg.target_acceptance)
+        if t < cfg.n_burn and (t + 1) % ADAPT_INTERVAL == 0:
+            window = acc[t + 1 - ADAPT_INTERVAL: t + 1].mean()
+            s *= np.exp(window - TARGET_ACCEPTANCE)
             if t + 1 >= 10 * d:
                 cov = np.cov(draws[: t + 1].T, ddof=1)
                 cov = np.atleast_2d(cov) + 1e-8 * np.eye(d)

@@ -6,40 +6,9 @@ seeded explicitly; the same seed always yields the same design bit-for-bit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
-__all__ = ["Design", "lhs_sample", "uniform_grid"]
-
-
-@dataclass(frozen=True)
-class Design:
-    """An n x d point set together with the ranges and seed that produced it."""
-
-    points: np.ndarray
-    ranges: tuple[tuple[float, float], ...]
-    seed: int = field(default=0)
-
-    def __post_init__(self):
-        pts = np.asarray(self.points, dtype=float)
-        object.__setattr__(self, "points", pts)
-        if pts.ndim != 2 or pts.shape[0] < 1 or pts.shape[1] < 1:
-            raise ValueError("points must be a non-empty n x d matrix")
-        if pts.shape[1] != len(self.ranges):
-            raise ValueError("ranges length must match point dimension")
-        for j, (lo, hi) in enumerate(self.ranges):
-            col = pts[:, j]
-            if np.any(col < lo) or np.any(col > hi):
-                raise ValueError(f"point outside range in dimension {j}")
-
-    @property
-    def n(self) -> int:
-        return self.points.shape[0]
-
-    @property
-    def d(self) -> int:
-        return self.points.shape[1]
+__all__ = ["lhs_sample", "uniform_grid"]
 
 
 def _check_ranges(ranges) -> tuple[tuple[float, float], ...]:
@@ -52,8 +21,8 @@ def _check_ranges(ranges) -> tuple[tuple[float, float], ...]:
     return tuple(out)
 
 
-def lhs_sample(n: int, ranges, seed: int) -> Design:
-    """Latin hypercube design: one point per stratum per dimension.
+def lhs_sample(n: int, ranges, seed: int) -> np.ndarray:
+    """Latin hypercube design, (n, d): one point per stratum per dimension.
 
     Points are generated on the unit cube (random permutation of strata,
     uniform placement inside each stratum) and then mapped affinely onto the
@@ -73,7 +42,7 @@ def lhs_sample(n: int, ranges, seed: int) -> Design:
     pts = np.empty_like(unit)
     for j, (lo, hi) in enumerate(ranges):
         pts[:, j] = lo + (hi - lo) * unit[:, j]
-    return Design(points=pts, ranges=ranges, seed=seed)
+    return pts
 
 
 def uniform_grid(n: int, range_: tuple[float, float]) -> np.ndarray:

@@ -16,7 +16,6 @@ __all__ = ["ScreeningResult", "SobolResult", "oat_screen", "sobol_indices"]
 class ScreeningResult:
     names: tuple[str, ...]
     variances: np.ndarray      # (d, m) population variance per parameter/output
-    threshold: float
     selected: tuple[str, ...]  # names whose max-over-outputs variance > threshold
 
 
@@ -24,8 +23,6 @@ class ScreeningResult:
 class SobolResult:
     first_order: np.ndarray  # (d, m)
     total: np.ndarray        # (d, m)
-    n_base: int
-    seed: int
 
 
 def oat_screen(runner, x_fixed, ranges, n: int, threshold: float, names=None) -> ScreeningResult:
@@ -58,8 +55,7 @@ def oat_screen(runner, x_fixed, ranges, n: int, threshold: float, names=None) ->
     selected = tuple(
         names[i] for i in range(d) if variances[i].max() > threshold
     )
-    return ScreeningResult(names=names, variances=variances, threshold=float(threshold),
-                           selected=selected)
+    return ScreeningResult(names=names, variances=variances, selected=selected)
 
 
 def sobol_indices(runner, ranges, n_base: int, seed: int) -> SobolResult:
@@ -93,7 +89,7 @@ def sobol_indices(runner, ranges, n_base: int, seed: int) -> SobolResult:
     total = np.zeros((d, m))
     if np.all(var == 0):
         warnings.warn("zero total variance: all Sobol indices set to 0")
-        return SobolResult(first, total, n_base, seed)
+        return SobolResult(first, total)
 
     safe_var = np.where(var > 0, var, 1.0)
     for i in range(d):
@@ -104,4 +100,4 @@ def sobol_indices(runner, ranges, n_base: int, seed: int) -> SobolResult:
         total[i] = np.mean((fa - fabi) ** 2, axis=0) / (2.0 * safe_var)
     first[:, var == 0] = 0.0
     total[:, var == 0] = 0.0
-    return SobolResult(first_order=first, total=total, n_base=n_base, seed=seed)
+    return SobolResult(first_order=first, total=total)

@@ -25,7 +25,6 @@ __all__ = [
     "SynthConfig",
     "ELEVATIONS",
     "THETA_TRUE",
-    "code_model",
     "code_model_arrays",
     "true_discrepancy",
     "generate_dataset",
@@ -76,18 +75,10 @@ def code_model_arrays(x: np.ndarray, theta: np.ndarray) -> np.ndarray:
     return np.maximum(0.0, np.tanh(c / d[..., None]))
 
 
-def code_model(x: BoundaryConditions, theta: ParameterVector) -> np.ndarray:
-    """Single-case convenience wrapper; returns the 3-vector of void fractions."""
-    th = theta.as_array() if isinstance(theta, ParameterVector) else np.asarray(theta)
-    if np.any(th <= 0):
-        raise ValueError("theta components must be positive")
-    return code_model_arrays(x.as_array(), th)
-
-
-def true_discrepancy(x: BoundaryConditions | np.ndarray) -> np.ndarray:
-    """Injected code-vs-truth bias: grows with power, largest at the top."""
-    xv = x.as_array() if isinstance(x, BoundaryConditions) else np.asarray(x, float)
-    return 0.06 * ELEVATIONS**2 * xv[..., 3, None]
+def true_discrepancy(x: np.ndarray) -> np.ndarray:
+    """Injected code-vs-truth bias at (..., 4) boundary conditions, (..., 3):
+    grows with power, largest at the top."""
+    return 0.06 * ELEVATIONS**2 * np.asarray(x, dtype=float)[..., 3, None]
 
 
 def generate_dataset(config: SynthConfig) -> list[ExperimentCase]:
@@ -103,7 +94,7 @@ def generate_dataset(config: SynthConfig) -> list[ExperimentCase]:
     theta = config.theta_true.as_array()
     cases = []
     for i in range(config.n_cases):
-        xv = design.points[i]
+        xv = design[i]
         alpha = code_model_arrays(xv, theta)
         attempts = 0
         while np.all(alpha < 0.01):

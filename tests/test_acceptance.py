@@ -33,7 +33,7 @@ def test_a1_gp_correctness():
     rng = np.random.default_rng(0)
 
     # interpolation at training points within 1e-6 relative
-    x = lhs_sample(40, [(0, 1)] * 3, seed=1).points
+    x = lhs_sample(40, [(0, 1)] * 3, seed=1)
     y = np.column_stack([np.sin(3 * x[:, 0]) + x[:, 1] ** 2,
                          np.cos(2 * x[:, 2]) * x[:, 0]])
     kernels = [gp.KernelConfig(np.full(3, 0.3), 1.0, 1e-10) for _ in range(2)]
@@ -89,7 +89,7 @@ def test_a2_emulator_convergence():
 
     maes = []
     for n in (20, 40, 60, 80, 100):
-        design = lhs_sample(n, [(0.05, 5.0)] * 4, seed=n).points
+        design = lhs_sample(n, [(0.05, 5.0)] * 4, seed=n)
         y = code_model_arrays(np.tile(x_fixed, (n, 1)), design)
         model = gp.fit(design, y, restarts=8, seed=0)
         maes.append(float(np.mean([m["mae"] for m in gp.loo_cv(model)])))

@@ -59,7 +59,7 @@ def test_gp_cc_targets_equal_per_row_runs(setup, monkeypatch):
     seeds = np.random.SeedSequence(0).generate_state(len(cal))
     rows_x, rows_y = [], []
     for case, cseed in zip(cal, seeds):
-        for th in lhs_sample(20, PriorSpec().ranges, seed=int(cseed)).points:
+        for th in lhs_sample(20, PriorSpec().ranges, seed=int(cseed)):
             rows_x.append(np.concatenate([case.x.as_array(), th]))
             rows_y.append(runner(case.x.as_array(), th))
     np.testing.assert_array_equal(seen["x"], np.array(rows_x))
@@ -97,13 +97,13 @@ def test_gp_md_learns_injected_discrepancy(setup, pair):
     val = [c for c in cases if c.case_id in part.validation_ids]
     xs = np.array([c.x.as_array() for c in val])
     mean, _ = gp.predict(pair.gp_md, xs)
-    delta_true = np.array([true_discrepancy(c.x) for c in val])
+    delta_true = true_discrepancy(xs)
     # residuals include the theta_true-vs-nominal signal, so compare against
     # the full true residual y - code(x, 1) minus noise
     ones = np.ones(4)
     full = np.array([
         code_model_arrays(c.x.as_array(), THETA_TRUE.as_array())
-        + true_discrepancy(c.x)
+        + true_discrepancy(c.x.as_array())
         - code_model_arrays(c.x.as_array(), ones)
         for c in val
     ])
@@ -114,7 +114,7 @@ def test_gp_md_learns_injected_discrepancy(setup, pair):
 
 def test_gp_md_zero_discrepancy_zero_noise():
     cfg = SynthConfig(discrepancy_on=False, sigma_exp=0.0, n_cases=30, seed=2,
-                      theta_true=ParameterVector.ones())
+                      theta_true=ParameterVector((1.0, 1.0, 1.0, 1.0)))
     cases = generate_dataset(cfg)
     part = partition_dataset(cases, suggest_calibration_ids(cases, 8))
     model = build_gp_md(part, cases, runner, restarts=3, seed=0)
@@ -174,13 +174,15 @@ def test_factored_log_posterior_matches_dense_predict(setup, pair, mode):
     # relative beyond.
     cases, part = setup
     lp = LogPosterior(pair, cases, part, mode, PriorSpec())
-    split = gp.SplitPredictor(pair.gp_cc, lp.x_cal)
-    for theta in lhs_sample(200, PriorSpec().ranges, seed=5).points:
+    model = pair.gp_cc
+    split = gp.SplitPredictor(model, lp.x_cal)
+    for theta in lhs_sample(200, PriorSpec().ranges, seed=5):
         pts = np.hstack([lp.x_cal, np.tile(theta, (lp.x_cal.shape[0], 1))])
-        mean, s2_code = gp.predict(pair.gp_cc, pts)
-        m2, v2 = split(theta)
-        np.testing.assert_allclose(m2, mean, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(v2, s2_code, rtol=0, atol=1e-12)
+        mean, s2_code = gp.predict(model, pts)
+        m2, v2 = split.standardized(theta)  # scaled back to output units below
+        np.testing.assert_allclose(m2.T * model.out_std + model.out_mean, mean,
+                                   rtol=0, atol=1e-12)
+        np.testing.assert_allclose(v2[:, None] * model.out_std**2, s2_code, rtol=0, atol=1e-12)
         v = lp.sigma2_exp + lp.sigma2_delta + s2_code
         r = lp.y_exp - mean - lp.delta
         ref = -0.5 * np.sum(r**2 / v + np.log(2 * np.pi * v)) + lp.prior.log_density
@@ -236,7 +238,7 @@ def test_mode_consistency_zero_discrepancy(setup, pair):
 def test_log_posterior_finite_on_prior_box(setup, pair):
     cases, part = setup
     lp = LogPosterior(pair, cases, part, CalibrationMode.WithDiscrepancy, PriorSpec())
-    sweep = lhs_sample(500, [(0.06, 4.99)] * 4, seed=8).points
+    sweep = lhs_sample(500, [(0.06, 4.99)] * 4, seed=8)
     vals = np.array([lp(th) for th in sweep])
     assert np.all(np.isfinite(vals))
 
@@ -275,7 +277,7 @@ def test_calibrate_posterior_structure(setup, pair):
     )
     assert narrower >= 3
     for res in (res_w, res_n):
-        draws = res.pooled_draws()
+        draws = np.concatenate([c.post_burn for c in res.chains])
         assert np.all(draws >= 0.05) and np.all(draws <= 5.0)
         for a in res.diagnostics["acceptance"]:
             assert 0.10 <= a <= 0.45

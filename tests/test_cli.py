@@ -374,12 +374,37 @@ def test_validate_then_export_propagates_once_per_mode(small_run, tmp_path, data
     cfg_path = str(write_config(tmp_path / "c.cfg", dataset, out))
     assert main(["validate", "--config", cfg_path]) in (0, 2)
     assert main(["export", "--config", cfg_path]) in (0, 2)
-    assert len(calls) == 2  # export reads validate's y_post_mean column
+    assert len(calls) == 2  # validate wrote validation_errors.csv; export reads no mean
     for mode in ("with_discrepancy", "no_discrepancy"):
         name = f"{mode}/validation_errors.csv"
         assert (out / name).read_bytes() == (one_shot / name).read_bytes(), name
     assert main(["run", "--config", cfg_path]) in (0, 2)
     assert len(calls) == 2  # a resume of a finished run propagates nothing
+
+
+def test_stage_command_removes_artifacts_of_resampled_chains(small_run, tmp_path, dataset):
+    # `mbcal calibrate` resamples a cut chain set; the mode's validate and
+    # export artifacts describe the old chains, so it removes them, and a
+    # later run rebuilds them instead of reusing them
+    _, _, out = small_run
+    out2 = tmp_path / "copy"
+    shutil.copytree(out, out2)
+    chain = out2 / "no_discrepancy" / "chain_1.csv"
+    chain.write_text("".join(chain.read_text().splitlines(keepends=True)[:10]))
+    downstream = [f"no_discrepancy/{name}" for name in (
+        "validation_report.csv", "rmse_summary.txt", "validation_errors.csv",
+        "posterior_pairs.csv", "posterior_marginals.csv")]
+    before = _tree(out2)
+    cfg_path = write_config(tmp_path / "c.cfg", dataset, out2)
+    assert run_pipeline(cfg_path, stages={"calibrate"}) in (0, 2)
+    for name in downstream:
+        assert not (out2 / name).exists(), name
+    assert run_pipeline(cfg_path) in (0, 2)
+    after = _tree(out2)
+    assert set(after) == set(before)
+    for name, (blob, _, _) in after.items():
+        if name != "manifest.txt":  # it records out_dir
+            assert blob == (out / name).read_bytes(), name
 
 
 def test_pipeline_resume_refused_on_config_change(small_run, tmp_path, dataset):
@@ -515,6 +540,7 @@ def test_main_reports_errors(tmp_path, capsys):
     ("no_discrepancy/validation_report.csv", "validate", {}),
     ("with_discrepancy/posterior_pairs.csv", "export", {}),
     ("scatter_prior.csv", "export", {}),
+    ("no_discrepancy/validation_errors.csv", "validate", {}),
 ])
 def test_pipeline_resume_recomputes_short_fixed_row_artifact(tmp_path, dataset,
                                                              name, stage, extra):

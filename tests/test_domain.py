@@ -51,7 +51,7 @@ def test_validate_rejects_nonfinite_bc():
 def test_parameter_vector_needs_four():
     with pytest.raises(ValueError):
         ParameterVector((1.0, 2.0))
-    assert ParameterVector.ones().as_array().tolist() == [1, 1, 1, 1]
+    assert ParameterVector((1, 1, 1, 1)).as_array().tolist() == [1.0, 1.0, 1.0, 1.0]
 
 
 @pytest.fixture(scope="module")

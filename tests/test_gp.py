@@ -191,7 +191,7 @@ def test_predictive_variance_nonnegative_sweep():
         np.hstack([x, np.full((30, 1), 0.7)]), np.ones((30, 4))
     )
     model = gp.fit(x, y, seed=6)
-    q = lhs_sample(200, [(0, 1)] * 3, seed=1).points
+    q = lhs_sample(200, [(0, 1)] * 3, seed=1)
     _, var = gp.predict(model, q)
     assert np.all(var >= 0)
 
@@ -337,7 +337,7 @@ def _lml_and_grad_out_of_place(log_params, x, y):
 @pytest.mark.parametrize("nugget", [1e-8, 1e-4])
 def test_lml_and_grad_matches_per_dimension_loop(nugget):
     # GP_CC-shaped: 200 rows of [x (4), theta (4)] on the unit cube
-    x = lhs_sample(200, [(0, 1)] * 8, seed=3).points
+    x = lhs_sample(200, [(0, 1)] * 8, seed=3)
     y = code_model_arrays(x[:, :4], 0.05 + 4.95 * x[:, 4:])[:, 0]
     y = (y - y.mean()) / y.std()
     rng = np.random.default_rng(17)
@@ -369,7 +369,7 @@ def _lead_tail_model(sizes, seed, kernels=(SELFCHECK_GP_CC_KERNEL,) * 3):
     lead_rows = rng.random((len(sizes), 4))
     n = int(np.sum(sizes))
     x = np.hstack([np.repeat(lead_rows, sizes, axis=0),
-                   lhs_sample(n, [(0.05, 5.0)] * 4, seed=seed).points])
+                   lhs_sample(n, [(0.05, 5.0)] * 4, seed=seed)])
     x = x[rng.permutation(n)]
     return gp.build_model(x, code_model_arrays(x[:, :4], x[:, 4:]), kernels), lead_rows
 
@@ -387,12 +387,13 @@ def test_split_predictor_matches_predict(sizes, query):
                   else lead_rows[:20])
     split = gp.SplitPredictor(model, query_rows)
     assert split.linv.size <= 2 * model.n * (model.n + model.m)
-    for tail in lhs_sample(25, [(0.05, 5.0)] * 4, seed=7).points:
+    for tail in lhs_sample(25, [(0.05, 5.0)] * 4, seed=7):
         pts = np.hstack([query_rows, np.tile(tail, (len(query_rows), 1))])
         mean, var = gp.predict(model, pts)
-        m2, v2 = split(tail)
-        np.testing.assert_allclose(m2, mean, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(v2, var, rtol=0, atol=1e-12)
+        m2, v2 = split.standardized(tail)
+        np.testing.assert_allclose(m2.T * model.out_std + model.out_mean, mean,
+                                   rtol=0, atol=1e-12)
+        np.testing.assert_allclose(v2[:, None] * model.out_std**2, var, rtol=0, atol=1e-12)
 
 
 def test_split_predictor_rejects_per_output_kernels():
@@ -453,7 +454,7 @@ def test_shared_kernel_loo_mae_sweep():
     x_fixed = np.array([0.5, 0.3, 0.5, 0.8])
     maes = []
     for n in (20, 40, 60, 80, 100):
-        design = lhs_sample(n, [(0.05, 5.0)] * 4, seed=n).points
+        design = lhs_sample(n, [(0.05, 5.0)] * 4, seed=n)
         y = code_model_arrays(np.tile(x_fixed, (n, 1)), design)
         model = gp.fit(design, y, restarts=8, seed=0, shared=True)
         assert len(model.restarts) == 1 and len(model.lml) == 1

@@ -56,9 +56,6 @@ def test_config_validation():
                    n_samples=100, n_burn=100)
     with pytest.raises(ValueError):
         McmcConfig(init=np.zeros(2), initial_proposal_cov=np.eye(1))
-    with pytest.raises(ValueError):
-        McmcConfig(init=np.zeros(1), initial_proposal_cov=np.eye(1),
-                   target_acceptance=1.5)
     with pytest.raises(ValueError, match="support"):
         McmcConfig(init=np.zeros(1), initial_proposal_cov=np.eye(1),
                    support=(np.array([1.0]), np.array([2.0])))

@@ -4,11 +4,11 @@ import pytest
 from mbcal.sampler import lhs_sample, uniform_grid
 
 
-def stratum_counts(design):
-    n, d = design.points.shape
+def stratum_counts(design, ranges):
+    n, d = design.shape
     counts = np.zeros((d, n), dtype=int)
-    for j, (lo, hi) in enumerate(design.ranges):
-        strata = np.floor((design.points[:, j] - lo) / (hi - lo) * n).astype(int)
+    for j, (lo, hi) in enumerate(ranges):
+        strata = np.floor((design[:, j] - lo) / (hi - lo) * n).astype(int)
         strata = np.clip(strata, 0, n - 1)
         for k in strata:
             counts[j, k] += 1
@@ -17,36 +17,37 @@ def stratum_counts(design):
 
 def test_lhs_stratification_100x4():
     design = lhs_sample(100, [(0, 5)] * 4, seed=42)
-    assert design.points.shape == (100, 4)
-    assert np.all(stratum_counts(design) == 1)
+    assert design.shape == (100, 4)
+    assert np.all(stratum_counts(design, [(0, 5)] * 4) == 1)
 
 
 def test_lhs_single_point():
     design = lhs_sample(1, [(0, 1), (-2, 3)], seed=0)
-    assert design.points.shape == (1, 2)
-    assert 0 <= design.points[0, 0] <= 1
-    assert -2 <= design.points[0, 1] <= 3
+    assert design.shape == (1, 2)
+    assert 0 <= design[0, 0] <= 1
+    assert -2 <= design[0, 1] <= 3
 
 
 def test_lhs_deterministic():
     a = lhs_sample(10, [(0, 1)] * 2, seed=7)
     b = lhs_sample(10, [(0, 1)] * 2, seed=7)
-    np.testing.assert_array_equal(a.points, b.points)
+    np.testing.assert_array_equal(a, b)
 
 
 def test_lhs_different_seeds_differ():
     a = lhs_sample(10, [(0, 1)] * 2, seed=7)
     b = lhs_sample(10, [(0, 1)] * 2, seed=8)
-    assert not np.array_equal(a.points, b.points)
+    assert not np.array_equal(a, b)
 
 
 def test_lhs_scaling_equivariance():
     unit = lhs_sample(25, [(0, 1)] * 3, seed=3)
-    box = lhs_sample(25, [(2, 10), (-1, 1), (0, 5)], seed=3)
-    mapped = np.empty_like(unit.points)
-    for j, (lo, hi) in enumerate(box.ranges):
-        mapped[:, j] = lo + (hi - lo) * unit.points[:, j]
-    np.testing.assert_allclose(mapped, box.points, atol=1e-12)
+    ranges = [(2, 10), (-1, 1), (0, 5)]
+    box = lhs_sample(25, ranges, seed=3)
+    mapped = np.empty_like(unit)
+    for j, (lo, hi) in enumerate(ranges):
+        mapped[:, j] = lo + (hi - lo) * unit[:, j]
+    np.testing.assert_allclose(mapped, box, atol=1e-12)
 
 
 def test_lhs_invalid_range():
