@@ -158,7 +158,8 @@ class LogPosterior:
     Gaussian likelihood is evaluated in GP_CC's standardized output units,
     with y_exp - delta - out_mean, sigma2_exp + sigma2_delta and the
     normalizing constant folded once; assigning y_exp, sigma2_exp, delta,
-    sigma2_delta or prior refolds them.
+    sigma2_delta or prior refolds them. A call evaluates K theta rows at
+    once, so a lockstep MH step over K chains is one call.
     """
 
     y_exp = _folded("y_exp")
@@ -196,19 +197,28 @@ class LogPosterior:
                       + self._prior.log_density)
         self._lo, self._hi = self._prior.lo, self._prior.hi
 
-    def __call__(self, theta: np.ndarray) -> float:
-        theta = np.asarray(theta, dtype=float).ravel()
+    def __call__(self, theta: np.ndarray) -> np.ndarray:
+        """Log posterior (K,) of the K rows of a (K, 4) theta array; a row
+        outside the prior box or holding NaN is -inf and is not evaluated."""
+        theta = np.asarray(theta, dtype=float)
         # one test for the prior box and NaN: every comparison with NaN fails
-        if not (self._lo <= theta.min() and theta.max() <= self._hi):
-            return -np.inf
+        if self._lo <= theta.min() and theta.max() <= self._hi:
+            return self._in_box(theta)
+        inside = ((theta >= self._lo) & (theta <= self._hi)).all(axis=1)
+        out = np.full(theta.shape[0], -np.inf)
+        if inside.any():
+            out[inside] = self._in_box(theta[inside])
+        return out
+
+    def _in_box(self, theta: np.ndarray) -> np.ndarray:
         mu, s2 = self._gp_cc.standardized(theta)
-        v = self._v0 + s2
+        v = self._v0 + s2[:, None, :]
         r = self._r0 - mu
         r *= r
         r /= v
         np.log(v, out=v)
         r += v
-        return float(self._norm - 0.5 * r.sum())
+        return self._norm - 0.5 * r.sum(axis=(1, 2))
 
 
 @dataclass
@@ -255,9 +265,10 @@ def calibrate(
     """Modular-Bayesian calibration in one mode with the surrogates held fixed.
 
     Runs n_chains adaptive-MH chains from jittered starts around
-    mcmc_config.init, confined to the prior box, and summarizes them.
-    Non-convergence (any R-hat >= 1.1) is reported in the result and warned
-    about, not raised.
+    mcmc_config.init, confined to the prior box and stepped in lockstep, so
+    each MH step is one LogPosterior call over every chain's proposal, and
+    summarizes them. Non-convergence (any R-hat >= 1.1) is reported in the
+    result and warned about, not raised.
     """
     if n_chains < 2:
         raise ValueError("need at least 2 chains for diagnostics")
@@ -268,15 +279,15 @@ def calibrate(
     )
 
     chain_seeds = np.random.SeedSequence(mcmc_config.seed).generate_state(2 * n_chains)
-    chains = []
+    configs = []
     for k in range(n_chains):
         rng = np.random.default_rng(int(chain_seeds[2 * k]))
         init = np.clip(
             mcmc_config.init + 0.1 * rng.standard_normal(THETA_DIM) * (k > 0),
             prior.lo, prior.hi,
         )
-        cfg_k = replace(mcmc_config, init=init, seed=int(chain_seeds[2 * k + 1]))
-        chains.append(adaptive_mh(log_post, cfg_k))
+        configs.append(replace(mcmc_config, init=init, seed=int(chain_seeds[2 * k + 1])))
+    chains = adaptive_mh(log_post, configs).chains
 
     result = summarize(mode, chains)
     if not result.converged:

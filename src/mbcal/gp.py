@@ -365,7 +365,7 @@ def _lead_groups(lead_x: np.ndarray):
 
 
 class SplitPredictor:
-    """predict at rows [lead_i, tail]: fixed lead rows, one tail per call,
+    """predict at rows [lead_i, tail]: fixed lead rows, K tails per call,
     for a model whose outputs share one kernel (GP_CC).
 
     The SE kernel is a product over input columns, so the cross-covariance
@@ -375,10 +375,11 @@ class SplitPredictor:
     with V = L^-1 U, where U (n x G) holds k_tail on each group's rows.
     K_u, the scaled tail columns and the columns of L^-1, stored sub-group
     by sub-group with zeros for padding, are computed once. Each stored
-    column carries its row's alphas as m extra entries, so the batched
-    matrix-vector product that gives V (n^2) also gives the per-group sums
-    of k_tail * alpha_j, and one K_u [V | A] (q G n) gives both the
-    variance's z = K_u V, which every output shares, and the standardized means.
+    column carries its row's alphas as m extra entries, so the stacked GEMM
+    that gives V for all K tails (K n^2) also gives the per-group sums of
+    k_tail * alpha_j, and one K_u [V | A] over K (n + m) columns (q G K n)
+    gives both the variance's z = K_u V, which every output shares, and the
+    standardized means.
     """
 
     def __init__(self, model: GpModel, lead: np.ndarray):
@@ -413,22 +414,24 @@ class SplitPredictor:
         self.linv = table[rows_or_0]                                   # (G, s, n+m)
         self.linv[pad] = 0.0
 
-    def standardized(self, tail: np.ndarray):
-        """Standardized posterior means (m, q) and the variance (q,) that every
-        output shares, at a float array of the d - c tail values."""
-        diff = self.x_tail - (tail * self.scale - self.shift)[:, None, None]
+    def standardized(self, tails: np.ndarray):
+        """Standardized posterior means (K, m, q) and the variances (K, q) that
+        every output shares, at a float (K, d - c) array of tails."""
+        ts = tails * self.scale - self.shift                              # (K, d-c)
+        diff = self.x_tail[:, :, None, :] - ts.T[:, None, :, None]        # (d-c, G, K, s)
         diff *= diff
         k_tail = diff.sum(axis=0)
         k_tail *= -0.5
-        np.exp(k_tail, out=k_tail)                                        # (G, s)
-        va = np.matmul(k_tail[:, None, :], self.linv)[:, 0]               # (G, n+m)
-        za = self.k_u @ va                                                # (q, n+m)
-        z = za[:, :self.n]
-        s2 = self.sv - np.einsum("qn,qn->q", z, z)
+        np.exp(k_tail, out=k_tail)                                        # (G, K, s)
+        va = np.matmul(k_tail, self.linv)                                 # (G, K, n+m)
+        g, k, w = va.shape
+        za = (self.k_u @ va.reshape(g, k * w)).reshape(-1, k, w)          # (q, K, n+m)
+        z = za[:, :, :self.n]
+        s2 = self.sv - np.einsum("qkn,qkn->kq", z, z)
         if s2.min() < -1e-8:
             raise FloatingPointError("predictive variance significantly negative")
         np.maximum(s2, 0.0, out=s2)
-        return za[:, self.n:].T, s2
+        return za[:, :, self.n:].transpose(1, 2, 0), s2
 
 
 def loo_cv(model: GpModel) -> list[dict]:

@@ -1,6 +1,12 @@
 """Adaptive random-walk Metropolis-Hastings with global proposal scaling,
 plus split-R-hat / effective-sample-size convergence diagnostics.
 
+The K chains of one run step in lockstep: each step proposes a move for
+every chain, evaluates the log density of all in-support proposals in one
+(K, d) -> (K,) call, and accepts or rejects each chain on its own. Every
+chain keeps its own generator, scale and proposal covariance, so chain k is
+draw for draw the chain that a run of it alone would give.
+
 Adaptation (scale and proposal covariance) runs only during burn-in and is
 frozen afterwards, so the retained samples come from a fixed-kernel chain.
 """
@@ -12,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["McmcConfig", "PosteriorChain", "adaptive_mh", "diagnostics"]
+__all__ = ["McmcConfig", "PosteriorChain", "LockstepChains", "adaptive_mh", "diagnostics"]
 
 TARGET_ACCEPTANCE = 0.234  # burn-in steers the acceptance rate toward this
 ADAPT_INTERVAL = 50        # burn-in steps between adaptations
@@ -76,64 +82,88 @@ class PosteriorChain:
             fh.write(row * n % tuple(table.ravel().tolist()))
 
 
-def adaptive_mh(log_post, config: McmcConfig) -> PosteriorChain:
-    """Random-walk MH with proposal N(theta, s^2 C), adapting s and C in burn-in.
+@dataclass
+class LockstepChains:
+    """The K chains of one lockstep run, in the order of their configs."""
 
-    Every ADAPT_INTERVAL steps of burn-in the global scale follows
-    s <- s * exp(acc_window - TARGET_ACCEPTANCE), and C is refreshed to the
-    empirical covariance of the draws so far (plus 1e-8 I) once 10*d draws
-    exist.
-    Proposals outside the support box are rejected without a density call.
+    chains: list[PosteriorChain]
+
+    @property
+    def draws(self) -> np.ndarray:
+        """(n_samples, K, d): every chain's state after each step."""
+        return np.stack([c.draws for c in self.chains], axis=1)
+
+
+def adaptive_mh(log_post, configs) -> LockstepChains:
+    """Random-walk MH with proposal N(theta, s^2 C), adapting s and C in burn-in,
+    for K chains (one McmcConfig each) stepped in lockstep.
+
+    log_post maps a (k, d) array of proposals to their (k,) log densities.
+    Every ADAPT_INTERVAL steps of burn-in each chain's global scale follows
+    s <- s * exp(acc_window - TARGET_ACCEPTANCE), and its C is refreshed to
+    the empirical covariance of its draws so far (plus 1e-8 I) once 10*d
+    draws exist.
+    A proposal outside its chain's support box is rejected without a
+    density evaluation or a uniform draw.
     """
-    cfg = config
-    d = cfg.init.size
-    rng = np.random.default_rng(cfg.seed)
-    cur = cfg.init.copy()
-    cur_lp = float(log_post(cur))
-    if not np.isfinite(cur_lp):
+    cfgs = list(configs)
+    if len({(c.n_samples, c.n_burn, c.init.size) for c in cfgs}) != 1:
+        raise ValueError("lockstep chains must share n_samples, n_burn and dimension")
+    n, n_burn, d = cfgs[0].n_samples, cfgs[0].n_burn, cfgs[0].init.size
+    n_chains = len(cfgs)
+    rngs = [np.random.default_rng(c.seed) for c in cfgs]
+    box = [c.support or (np.full(d, -np.inf), np.full(d, np.inf)) for c in cfgs]
+    lo, hi = (np.array(b) for b in zip(*box))
+    cur = np.array([c.init for c in cfgs])
+    cur_lp = np.array(log_post(cur), dtype=float)
+    if not np.isfinite(cur_lp).all():
         raise ValueError("log_post(init) is not finite")
 
-    s = 2.38 / np.sqrt(d)
-    chol = np.linalg.cholesky(cfg.initial_proposal_cov)
-    draws = np.empty((cfg.n_samples, d))
-    lps = np.empty(cfg.n_samples)
-    acc = np.zeros(cfg.n_samples, dtype=bool)
-    scale_history = [(0, s)]
+    s = np.full(n_chains, 2.38 / np.sqrt(d))
+    chol = np.array([np.linalg.cholesky(c.initial_proposal_cov) for c in cfgs])  # (K, d, d)
+    draws = np.empty((n_chains, n, d))
+    lps = np.empty((n_chains, n))
+    acc = np.zeros((n_chains, n), dtype=bool)
+    scale_history = [[(0, s[k])] for k in range(n_chains)]
 
-    for t in range(cfg.n_samples):
-        prop = cur + s * (chol @ rng.standard_normal(d))
-        in_support = True
-        if cfg.support is not None:
-            lo, hi = cfg.support
-            in_support = bool((prop >= lo).all() and (prop <= hi).all())
-        if in_support:
-            lp = float(log_post(prop))
-            if np.log(rng.random()) < lp - cur_lp:
-                cur, cur_lp = prop, lp
-                acc[t] = True
-        draws[t] = cur
-        lps[t] = cur_lp
+    z = np.empty((n_chains, d))
+    for t in range(n):
+        for rng, z_k in zip(rngs, z):
+            rng.standard_normal(out=z_k)
+        prop = cur + s[:, None] * np.matmul(chol, z[:, :, None])[:, :, 0]
+        ins = np.flatnonzero(((prop >= lo) & (prop <= hi)).all(axis=1))
+        if ins.size:
+            lp = log_post(prop[ins])
+            for i, k in enumerate(ins.tolist()):
+                if np.log(rngs[k].random()) < lp[i] - cur_lp[k]:
+                    cur[k], cur_lp[k], acc[k, t] = prop[k], lp[i], True
+        draws[:, t] = cur
+        lps[:, t] = cur_lp
 
-        if t < cfg.n_burn and (t + 1) % ADAPT_INTERVAL == 0:
-            window = acc[t + 1 - ADAPT_INTERVAL: t + 1].mean()
+        if t < n_burn and (t + 1) % ADAPT_INTERVAL == 0:
+            window = acc[:, t + 1 - ADAPT_INTERVAL: t + 1].mean(axis=1)
             s *= np.exp(window - TARGET_ACCEPTANCE)
-            if t + 1 >= 10 * d:
-                cov = np.cov(draws[: t + 1].T, ddof=1)
-                cov = np.atleast_2d(cov) + 1e-8 * np.eye(d)
-                chol = np.linalg.cholesky(cov)
-            scale_history.append((t + 1, s))
+            for k in range(n_chains):
+                if t + 1 >= 10 * d:
+                    cov = np.cov(draws[k, : t + 1].T, ddof=1)
+                    cov = np.atleast_2d(cov) + 1e-8 * np.eye(d)
+                    chol[k] = np.linalg.cholesky(cov)
+                scale_history[k].append((t + 1, s[k]))
 
-    post_acc = float(acc[cfg.n_burn:].mean())
-    if post_acc == 0.0:
-        warnings.warn("all post-burn-in proposals rejected: chain did not move")
-    return PosteriorChain(
-        draws=draws,
-        log_posterior_values=lps,
-        accepted=acc,
-        acceptance_rate=post_acc,
-        scale_history=scale_history,
-        n_burn=cfg.n_burn,
-    )
+    chains = []
+    for k in range(n_chains):
+        post_acc = float(acc[k, n_burn:].mean())
+        if post_acc == 0.0:
+            warnings.warn("all post-burn-in proposals rejected: chain did not move")
+        chains.append(PosteriorChain(
+            draws=draws[k],
+            log_posterior_values=lps[k],
+            accepted=acc[k],
+            acceptance_rate=post_acc,
+            scale_history=scale_history[k],
+            n_burn=n_burn,
+        ))
+    return LockstepChains(chains)
 
 
 def _ess_one(x: np.ndarray) -> float:

@@ -143,8 +143,8 @@ def test_a4_mcmc_oracle():
                           n_samples=20000, n_burn=4000, seed=seed)
 
     # 1-D standard normal
-    chains = [adaptive_mh(lambda th: -0.5 * float(th[0] ** 2),
-                          cfg_for(np.zeros(1), np.eye(1), s)) for s in range(4)]
+    chains = adaptive_mh(lambda th: -0.5 * th[:, 0] ** 2,
+                         [cfg_for(np.zeros(1), np.eye(1), s) for s in range(4)]).chains
     post = chains[0].post_burn[:, 0]
     assert abs(post.mean()) <= 0.05, f"1-D mean {post.mean():.4f}"
     assert abs(post.var() - 1.0) <= 0.10, f"1-D var {post.var():.4f}"
@@ -155,9 +155,9 @@ def test_a4_mcmc_oracle():
 
     # 2-D correlated Gaussian, rho = -0.7
     prec = np.linalg.inv(np.array([[1.0, -0.7], [-0.7, 1.0]]))
-    target = lambda th: -0.5 * float(th @ prec @ th)
-    chains2 = [adaptive_mh(target, cfg_for(np.zeros(2), 0.5 * np.eye(2), s))
-               for s in range(4)]
+    target = lambda th: -0.5 * np.einsum("ki,ij,kj->k", th, prec, th)
+    chains2 = adaptive_mh(target, [cfg_for(np.zeros(2), 0.5 * np.eye(2), s)
+                                   for s in range(4)]).chains
     pooled = np.concatenate([c.post_burn for c in chains2])
     assert np.all(np.abs(pooled.mean(axis=0)) <= 0.05)
     assert np.all(np.abs(pooled.var(axis=0) - 1.0) <= 0.10)
@@ -169,8 +169,8 @@ def test_a4_mcmc_oracle():
         assert 0.10 <= c.acceptance_rate <= 0.45
 
     # bit-identical chains under fixed seed
-    a = adaptive_mh(target, cfg_for(np.zeros(2), 0.5 * np.eye(2), 9))
-    b = adaptive_mh(target, cfg_for(np.zeros(2), 0.5 * np.eye(2), 9))
+    a = adaptive_mh(target, [cfg_for(np.zeros(2), 0.5 * np.eye(2), 9)]).chains[0]
+    b = adaptive_mh(target, [cfg_for(np.zeros(2), 0.5 * np.eye(2), 9)]).chains[0]
     np.testing.assert_array_equal(a.draws, b.draws)
 
     elapsed = _budget(t0, 60, "A4")

@@ -148,8 +148,8 @@ def test_disjointness_enforced(setup, pair):
 def test_log_posterior_outside_prior(setup, pair):
     cases, part = setup
     lp = LogPosterior(pair, cases, part, CalibrationMode.WithDiscrepancy, PriorSpec())
-    assert lp(np.array([6.0, 1, 1, 1])) == -np.inf
-    assert np.isfinite(lp(np.ones(4)))
+    assert lp(np.array([[6.0, 1, 1, 1]]))[0] == -np.inf
+    assert np.isfinite(lp(np.ones((1, 4)))[0])
 
 
 def test_log_posterior_gaussian_closed_form(setup, pair):
@@ -163,7 +163,7 @@ def test_log_posterior_gaussian_closed_form(setup, pair):
     v = lp.sigma2_exp + s2_code
     r = lp.y_exp - mean
     expected = -0.5 * np.sum(r**2 / v + np.log(2 * np.pi * v)) + lp.prior.log_density
-    assert abs(lp(theta) - expected) < 1e-10
+    assert abs(lp(theta[None])[0] - expected) < 1e-10
 
 
 @pytest.mark.parametrize("mode", list(CalibrationMode))
@@ -176,19 +176,63 @@ def test_factored_log_posterior_matches_dense_predict(setup, pair, mode):
     lp = LogPosterior(pair, cases, part, mode, PriorSpec())
     model = pair.gp_cc
     split = gp.SplitPredictor(model, lp.x_cal)
-    for theta in lhs_sample(200, PriorSpec().ranges, seed=5):
+    thetas = lhs_sample(200, PriorSpec().ranges, seed=5)
+    m2, v2 = split.standardized(thetas)  # scaled back to output units below
+    lps = lp(thetas)
+    for theta, m2_k, v2_k, lp_k in zip(thetas, m2, v2, lps):
         pts = np.hstack([lp.x_cal, np.tile(theta, (lp.x_cal.shape[0], 1))])
         mean, s2_code = gp.predict(model, pts)
-        m2, v2 = split.standardized(theta)  # scaled back to output units below
-        np.testing.assert_allclose(m2.T * model.out_std + model.out_mean, mean,
+        np.testing.assert_allclose(m2_k.T * model.out_std + model.out_mean, mean,
                                    rtol=0, atol=1e-12)
-        np.testing.assert_allclose(v2[:, None] * model.out_std**2, s2_code, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(v2_k[:, None] * model.out_std**2, s2_code,
+                                   rtol=0, atol=1e-12)
         v = lp.sigma2_exp + lp.sigma2_delta + s2_code
         r = lp.y_exp - mean - lp.delta
         ref = -0.5 * np.sum(r**2 / v + np.log(2 * np.pi * v)) + lp.prior.log_density
-        assert abs(lp(theta) - ref) <= 1e-10 * max(1.0, abs(ref))
+        assert abs(lp_k - ref) <= 1e-10 * max(1.0, abs(ref))
     for outside in ([5.01, 1, 1, 1], [1, 1, 1, 0.04], [1, np.nan, 1, 1]):
-        assert lp(np.array(outside)) == -np.inf
+        assert lp(np.array([outside]))[0] == -np.inf
+
+
+def _dense_log_posterior(pair, lp, mode):
+    """Reference density of (K, 4) rows: every calibration row [x_i, theta]
+    through gp.predict, one theta row at a time."""
+    prior = lp.prior
+    if mode is CalibrationMode.WithDiscrepancy:
+        delta, sigma2_delta = gp.predict(pair.gp_md, lp.x_cal)
+    else:
+        delta, sigma2_delta = 0.0, 0.0
+
+    def dense_row(theta):
+        if not (np.all(theta >= prior.lo) and np.all(theta <= prior.hi)):
+            return -np.inf
+        pts = np.hstack([lp.x_cal, np.tile(theta, (lp.x_cal.shape[0], 1))])
+        mean, s2_code = gp.predict(pair.gp_cc, pts)
+        v = lp.sigma2_exp + sigma2_delta + s2_code
+        r = lp.y_exp - mean - delta
+        return float(-0.5 * np.sum(r**2 / v + np.log(2 * np.pi * v)) + prior.log_density)
+
+    return lambda thetas: np.array([dense_row(theta) for theta in thetas])
+
+
+@pytest.mark.parametrize("mode", list(CalibrationMode))
+def test_batched_log_posterior_rows_match_single_rows(setup, pair, mode):
+    # one (K, 4) call gives each row the value of its own one-row call and of
+    # the dense reference; rows outside the box or holding NaN are -inf and
+    # leave the other rows' values alone
+    cases, part = setup
+    lp = LogPosterior(pair, cases, part, mode, PriorSpec())
+    thetas = lhs_sample(40, PriorSpec().ranges, seed=13)
+    bad = [3, 17, 25, 39]
+    thetas[3, 0], thetas[17, 3], thetas[25, 1], thetas[39] = 5.01, 0.04, np.nan, np.nan
+    batch = lp(thetas)
+    single = np.array([lp(theta[None])[0] for theta in thetas])
+    assert np.all(batch[bad] == -np.inf) and np.all(single[bad] == -np.inf)
+    good = np.setdiff1d(np.arange(len(thetas)), bad)
+    np.testing.assert_allclose(batch[good], single[good], rtol=1e-10, atol=0)
+    np.testing.assert_allclose(batch[good], _dense_log_posterior(pair, lp, mode)(thetas[good]),
+                               rtol=1e-10, atol=0)
+    assert np.all(lp(thetas[bad]) == -np.inf)
 
 
 @pytest.mark.parametrize("mode", list(CalibrationMode))
@@ -198,24 +242,11 @@ def test_fused_log_posterior_keeps_mh_chain(setup, pair, mode):
     cases, part = setup
     lp = LogPosterior(pair, cases, part, mode, PriorSpec())
     prior = PriorSpec()
-    if mode is CalibrationMode.WithDiscrepancy:
-        delta, sigma2_delta = gp.predict(pair.gp_md, lp.x_cal)
-    else:
-        delta, sigma2_delta = 0.0, 0.0
-
-    def dense(theta):
-        if not (np.all(theta >= prior.lo) and np.all(theta <= prior.hi)):
-            return -np.inf
-        pts = np.hstack([lp.x_cal, np.tile(theta, (lp.x_cal.shape[0], 1))])
-        mean, s2_code = gp.predict(pair.gp_cc, pts)
-        v = lp.sigma2_exp + sigma2_delta + s2_code
-        r = lp.y_exp - mean - delta
-        return float(-0.5 * np.sum(r**2 / v + np.log(2 * np.pi * v)) + prior.log_density)
-
+    dense = _dense_log_posterior(pair, lp, mode)
     mc = McmcConfig(init=np.ones(4), initial_proposal_cov=np.eye(4) * 0.06,
                     n_samples=500, n_burn=200, seed=12,
                     support=(np.full(4, prior.lo), np.full(4, prior.hi)))
-    fused, ref = adaptive_mh(lp, mc), adaptive_mh(dense, mc)
+    fused, ref = (adaptive_mh(f, [mc]).chains[0] for f in (lp, dense))
     assert fused.draws.tobytes() == ref.draws.tobytes()
     assert fused.accepted.tobytes() == ref.accepted.tobytes()
     assert fused.accepted.sum() > 50
@@ -232,24 +263,24 @@ def test_mode_consistency_zero_discrepancy(setup, pair):
     lp_with.delta = np.zeros_like(lp_with.delta)
     lp_with.sigma2_delta = np.zeros_like(lp_with.sigma2_delta)
     for theta in (np.ones(4), np.array([1.5, 0.7, 2.0, 0.3])):
-        assert abs(lp_with(theta) - lp_no(theta)) < 1e-12
+        assert abs(lp_with(theta[None])[0] - lp_no(theta[None])[0]) < 1e-12
 
 
 def test_log_posterior_finite_on_prior_box(setup, pair):
     cases, part = setup
     lp = LogPosterior(pair, cases, part, CalibrationMode.WithDiscrepancy, PriorSpec())
     sweep = lhs_sample(500, [(0.06, 4.99)] * 4, seed=8)
-    vals = np.array([lp(th) for th in sweep])
+    vals = lp(sweep)
     assert np.all(np.isfinite(vals))
 
 
 def test_variance_inflation_flattens_posterior(setup, pair):
     cases, part = setup
     lp = LogPosterior(pair, cases, part, CalibrationMode.NoDiscrepancy, PriorSpec())
-    a, b = np.ones(4), np.array([2.0, 0.5, 1.5, 0.8])
-    base_gap = abs(lp(a) - lp(b))
+    a, b = np.ones((1, 4)), np.array([[2.0, 0.5, 1.5, 0.8]])
+    base_gap = abs(lp(a)[0] - lp(b)[0])
     lp.sigma2_exp = lp.sigma2_exp * 16
-    inflated_gap = abs(lp(a) - lp(b))
+    inflated_gap = abs(lp(a)[0] - lp(b)[0])
     assert inflated_gap < base_gap
 
 

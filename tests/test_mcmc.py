@@ -7,7 +7,11 @@ from mbcal.mcmc import McmcConfig, PosteriorChain, adaptive_mh, diagnostics
 
 
 def std_normal(theta):
-    return -0.5 * float(theta[0] ** 2)
+    return -0.5 * theta[:, 0] ** 2
+
+
+def one_chain(log_post, config):
+    return adaptive_mh(log_post, [config]).chains[0]
 
 
 def config_1d(seed=0, **kw):
@@ -18,7 +22,7 @@ def config_1d(seed=0, **kw):
 
 
 def test_standard_normal_moments():
-    chain = adaptive_mh(std_normal, config_1d(seed=1))
+    chain = one_chain(std_normal, config_1d(seed=1))
     post = chain.post_burn[:, 0]
     assert abs(post.mean()) < 0.05
     assert abs(post.var() - 1.0) < 0.10
@@ -28,8 +32,8 @@ def test_standard_normal_moments():
 def test_correlated_gaussian():
     cov = np.array([[1.0, -0.7], [-0.7, 1.0]])
     prec = np.linalg.inv(cov)
-    chain = adaptive_mh(
-        lambda th: -0.5 * float(th @ prec @ th),
+    chain = one_chain(
+        lambda th: -0.5 * np.einsum("ki,ij,kj->k", th, prec, th),
         McmcConfig(init=np.zeros(2), initial_proposal_cov=0.5 * np.eye(2),
                    n_samples=20000, n_burn=4000, seed=2),
     )
@@ -39,8 +43,8 @@ def test_correlated_gaussian():
 
 
 def test_reproducible_bit_identical():
-    a = adaptive_mh(std_normal, config_1d(seed=3))
-    b = adaptive_mh(std_normal, config_1d(seed=3))
+    a = one_chain(std_normal, config_1d(seed=3))
+    b = one_chain(std_normal, config_1d(seed=3))
     np.testing.assert_array_equal(a.draws, b.draws)
     np.testing.assert_array_equal(a.log_posterior_values, b.log_posterior_values)
 
@@ -63,26 +67,26 @@ def test_config_validation():
 
 def test_nonfinite_init_rejected():
     with pytest.raises(ValueError, match="finite"):
-        adaptive_mh(lambda th: float("-inf"), config_1d())
+        one_chain(lambda th: np.full(len(th), -np.inf), config_1d())
 
 
 def test_draws_stay_in_support():
     lo, hi = np.array([0.05]), np.array([5.0])
     cfg = McmcConfig(init=np.ones(1), initial_proposal_cov=np.eye(1),
                      n_samples=5000, n_burn=1000, seed=4, support=(lo, hi))
-    chain = adaptive_mh(lambda th: 0.0, cfg)
+    chain = one_chain(lambda th: np.zeros(len(th)), cfg)
     assert np.all(chain.draws >= lo) and np.all(chain.draws <= hi)
 
 
 def test_adaptation_frozen_after_burn_in():
-    chain = adaptive_mh(std_normal, config_1d(seed=5))
+    chain = one_chain(std_normal, config_1d(seed=5))
     assert max(step for step, _ in chain.scale_history) <= 4000
 
 
 def test_double_well_matches_quadrature():
     # detailed-balance smoke test on a bimodal target, checked against
     # deterministic quadrature of the normalized density
-    logp = lambda th: -float((th[0] ** 2 - 1.5) ** 2)
+    logp = lambda th: -((th[:, 0] ** 2 - 1.5) ** 2)
     dens = lambda v: np.exp(-((v**2 - 1.5) ** 2))
     z, _ = quad(dens, -6, 6)
     edges = np.linspace(-3, 3, 25)
@@ -90,15 +94,73 @@ def test_double_well_matches_quadrature():
 
     cfg = McmcConfig(init=np.zeros(1), initial_proposal_cov=np.eye(1),
                      n_samples=100000, n_burn=10000, seed=6)
-    chain = adaptive_mh(logp, cfg)
+    chain = one_chain(logp, cfg)
     counts, _ = np.histogram(chain.post_burn[:, 0], bins=edges)
     emp = counts / counts.sum()
     tv = 0.5 * np.abs(emp - probs / probs.sum()).sum()
     assert tv < 0.05
 
 
+def _reference_chain(log_post, cfg):
+    """Reference: one chain stepped alone with a one-row density, in the
+    order of draws that the lockstep sampler keeps for each chain."""
+    d = cfg.init.size
+    rng = np.random.default_rng(cfg.seed)
+    cur, cur_lp = cfg.init.copy(), log_post(cfg.init[None])[0]
+    s, chol = 2.38 / np.sqrt(d), np.linalg.cholesky(cfg.initial_proposal_cov)
+    lo, hi = cfg.support
+    draws, acc = np.empty((cfg.n_samples, d)), np.zeros(cfg.n_samples, dtype=bool)
+    for t in range(cfg.n_samples):
+        prop = cur + s * (chol @ rng.standard_normal(d))
+        if (prop >= lo).all() and (prop <= hi).all():
+            lp = log_post(prop[None])[0]
+            if np.log(rng.random()) < lp - cur_lp:
+                cur, cur_lp, acc[t] = prop, lp, True
+        draws[t] = cur
+        if t < cfg.n_burn and (t + 1) % 50 == 0:
+            s *= np.exp(acc[t - 49: t + 1].mean() - 0.234)
+            if t + 1 >= 10 * d:
+                chol = np.linalg.cholesky(np.cov(draws[: t + 1].T, ddof=1) + 1e-8 * np.eye(d))
+    return draws, acc
+
+
+def test_lockstep_chains_equal_single_chain_runs():
+    # K chains stepped together are, draw for draw, the K chains run alone.
+    # The box is tight enough that some proposals fall outside it, where a
+    # chain makes no density evaluation and draws no uniform.
+    rows = []
+
+    def logp(th):
+        rows.append(len(th))
+        return -0.5 * np.einsum("kd,kd->k", th, th)
+
+    box = (np.full(2, -0.8), np.full(2, 0.8))
+    cfgs = [McmcConfig(init=np.full(2, 0.15 * k), initial_proposal_cov=(1 + k) * np.eye(2),
+                       n_samples=600, n_burn=200, seed=20 + k, support=box)
+            for k in range(4)]
+    run = adaptive_mh(logp, cfgs)
+    assert run.draws.shape == (600, 4, 2)
+    assert sum(rows) - 4 < 4 * 600  # the initial call is not a proposal
+    for k, cfg in enumerate(cfgs):
+        alone, got = one_chain(logp, cfg), run.chains[k]
+        for name in ("draws", "log_posterior_values", "accepted"):
+            assert getattr(got, name).tobytes() == getattr(alone, name).tobytes(), name
+        assert got.scale_history == alone.scale_history
+        assert run.draws[:, k].tobytes() == alone.draws.tobytes()
+        ref_draws, ref_acc = _reference_chain(logp, cfg)
+        assert got.draws.tobytes() == ref_draws.tobytes()
+        assert got.accepted.tobytes() == ref_acc.tobytes()
+        assert 0 < got.accepted.sum() < 600
+
+
+def test_lockstep_chains_share_length():
+    cfgs = [config_1d(n_samples=200, n_burn=50), config_1d(n_samples=300, n_burn=50)]
+    with pytest.raises(ValueError, match="lockstep"):
+        adaptive_mh(std_normal, cfgs)
+
+
 def test_diagnostics_well_mixed():
-    chains = [adaptive_mh(std_normal, config_1d(seed=s)) for s in range(4)]
+    chains = adaptive_mh(std_normal, [config_1d(seed=s) for s in range(4)]).chains
     d = diagnostics(chains)
     assert d["rhat"][0] < 1.05
     assert d["ess"][0] > 100
@@ -106,7 +168,7 @@ def test_diagnostics_well_mixed():
 
 
 def test_diagnostics_frozen_chains_infinite_rhat():
-    base = adaptive_mh(std_normal, config_1d(seed=7, n_samples=200, n_burn=50))
+    base = one_chain(std_normal, config_1d(seed=7, n_samples=200, n_burn=50))
     frozen1 = base.__class__(
         draws=np.zeros_like(base.draws), log_posterior_values=base.log_posterior_values,
         accepted=base.accepted, acceptance_rate=0.0, scale_history=[], n_burn=50,
@@ -120,13 +182,13 @@ def test_diagnostics_frozen_chains_infinite_rhat():
 
 
 def test_diagnostics_needs_two_chains():
-    chain = adaptive_mh(std_normal, config_1d(seed=8, n_samples=200, n_burn=50))
+    chain = one_chain(std_normal, config_1d(seed=8, n_samples=200, n_burn=50))
     with pytest.raises(ValueError, match="2 chains"):
         diagnostics([chain])
 
 
 def test_chain_csv_roundtrip(tmp_path):
-    chain = adaptive_mh(std_normal, config_1d(seed=9, n_samples=300, n_burn=100))
+    chain = one_chain(std_normal, config_1d(seed=9, n_samples=300, n_burn=100))
     path = tmp_path / "chain.csv"
     chain.to_csv(path)
     lines = path.read_text().splitlines()
@@ -156,9 +218,9 @@ def _chain(draws, lps, acc, n_burn=0):
 
 def test_chain_csv_matches_per_row_writer_and_reads_back(tmp_path):
     rng = np.random.default_rng(3)
-    mh = adaptive_mh(lambda th: -0.5 * float(th @ th),
-                     McmcConfig(init=np.ones(4), initial_proposal_cov=np.eye(4),
-                                n_samples=400, n_burn=100, seed=4))
+    mh = one_chain(lambda th: -0.5 * np.einsum("kd,kd->k", th, th),
+                   McmcConfig(init=np.ones(4), initial_proposal_cov=np.eye(4),
+                              n_samples=400, n_burn=100, seed=4))
     awkward = np.array([[0.1, -0.0, 1e-300, 5.0], [1 / 3, 2.0**-1074, 1e17, -2.5e-8]])
     cases = [
         (mh, {}),
