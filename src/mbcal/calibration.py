@@ -137,16 +137,6 @@ def build_gp_md(
     return gp.fit(xs, y_exp - pred, restarts=restarts, seed=seed)
 
 
-def _folded(name: str) -> property:
-    """A LogPosterior input whose assignment refolds the per-call constants."""
-    key = "_" + name
-
-    def fset(self, value):
-        setattr(self, key, value)
-        self._fold()
-    return property(lambda self: getattr(self, key), fset)
-
-
 class LogPosterior:
     """Callable log-posterior of theta for a fixed surrogate pair and data.
 
@@ -157,45 +147,36 @@ class LogPosterior:
     calibration cases and a call evaluates only the theta columns. The
     Gaussian likelihood is evaluated in GP_CC's standardized output units,
     with y_exp - delta - out_mean, sigma2_exp + sigma2_delta and the
-    normalizing constant folded once; assigning y_exp, sigma2_exp, delta,
-    sigma2_delta or prior refolds them. A call evaluates K theta rows at
-    once, so a lockstep MH step over K chains is one call.
+    normalizing constant folded once, at construction; the unfolded inputs
+    stay readable as attributes. A call evaluates K theta rows at once, so a
+    lockstep MH step over K chains is one call.
     """
-
-    y_exp = _folded("y_exp")
-    sigma2_exp = _folded("sigma2_exp")
-    delta = _folded("delta")
-    sigma2_delta = _folded("sigma2_delta")
-    prior = _folded("prior")
 
     def __init__(self, pair: SurrogatePair, cases, partition: Partition,
                  mode: CalibrationMode, prior: PriorSpec):
         cal_cases = _sorted_cases(cases, partition.calibration_ids)
         self.mode = mode
         self.x_cal = np.array([c.x.as_array() for c in cal_cases])
-        self._prior = prior
-        self._y_exp = np.array([c.y_exp.as_array() for c in cal_cases])
-        self._sigma2_exp = np.array([c.meas.sigma_exp**2 for c in cal_cases])[:, None]
-        if np.any(self._sigma2_exp <= 0):
+        self.prior = prior
+        self.y_exp = np.array([c.y_exp.as_array() for c in cal_cases])
+        self.sigma2_exp = np.array([c.meas.sigma_exp**2 for c in cal_cases])[:, None]
+        if np.any(self.sigma2_exp <= 0):
             raise ValueError("nonpositive measurement sigma in calibration set")
         self._gp_cc = gp.SplitPredictor(pair.gp_cc, self.x_cal)
         if mode is CalibrationMode.WithDiscrepancy and pair.gp_md is not None:
-            self._delta, self._sigma2_delta = gp.predict(pair.gp_md, self.x_cal)
+            self.delta, self.sigma2_delta = gp.predict(pair.gp_md, self.x_cal)
         else:
-            self._delta = np.zeros_like(self._y_exp)
-            self._sigma2_delta = np.zeros_like(self._y_exp)
-        self._fold()
-
-    def _fold(self):
-        """Standardized (m, q) residual offset and variance floor, and the
-        normalizer: -0.5 sum log(2 pi out_std^2) plus the prior density."""
+            self.delta = np.zeros_like(self.y_exp)
+            self.sigma2_delta = np.zeros_like(self.y_exp)
+        # standardized (m, q) residual offset and variance floor, and the
+        # normalizer: -0.5 sum log(2 pi out_std^2) plus the prior density
         std = self._gp_cc.model.out_std[:, None]
         mean = self._gp_cc.model.out_mean[:, None]
-        self._r0 = (self._y_exp.T - self._delta.T - mean) / std
-        self._v0 = (self._sigma2_exp.T + self._sigma2_delta.T) / std**2
+        self._r0 = (self.y_exp.T - self.delta.T - mean) / std
+        self._v0 = (self.sigma2_exp.T + self.sigma2_delta.T) / std**2
         self._norm = (-0.5 * self._r0.shape[1] * np.sum(np.log(2.0 * np.pi * std**2))
-                      + self._prior.log_density)
-        self._lo, self._hi = self._prior.lo, self._prior.hi
+                      + prior.log_density)
+        self._lo, self._hi = prior.lo, prior.hi
 
     def __call__(self, theta: np.ndarray) -> np.ndarray:
         """Log posterior (K,) of the K rows of a (K, 4) theta array; a row

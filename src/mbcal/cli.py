@@ -5,9 +5,9 @@ Config files are flat ``key = value`` text; unknown keys are errors. Every
 artifact carries the hash of the config and of the input files' bytes (on
 its first line, or as a GP JSON key). On resume a stage whose artifacts
 are whole under the run's hash is skipped, one with a missing or cut-short
-artifact or a rebuilt input is rebuilt, and any other hash is refused
-(``_reuse``, ``run_pipeline``). Artifacts are written to a temporary file
-and renamed into place, so none is ever left half-written.
+artifact is rebuilt after deleting every artifact made from it, and any
+other hash is refused (``_reuse``, ``run_pipeline``). Artifacts are written
+to a temporary file and renamed into place, so none is left half-written.
 
 The forward model is ``synthbench.code_model_arrays``, called through the
 batched runner contract ``runner(X, Theta) -> Y`` (see README).
@@ -261,10 +261,9 @@ def _gp_doc(fh):
 
 def _read_chain(path, n_burn: int) -> PosteriorChain:
     arr = np.loadtxt(path, delimiter=",", skiprows=2, ndmin=2)  # hash, header
-    acc = arr[:, -1].astype(bool)
     return PosteriorChain(
-        draws=arr[:, 1:-2], log_posterior_values=arr[:, -2], accepted=acc,
-        acceptance_rate=float(acc[n_burn:].mean()), scale_history=[], n_burn=n_burn,
+        draws=arr[:, 1:-2], log_posterior_values=arr[:, -2],
+        accepted=arr[:, -1].astype(bool), scale_history=[], n_burn=n_burn,
     )
 
 
@@ -277,10 +276,10 @@ def run_pipeline(config_path, out_override=None, seed_override=None, stages=None
     screen and sobol when the config's run_screen and run_sobol ask for them.
     Validate and export include the stages they read.
 
-    A stage is rebuilt only when one of its artifacts is missing or cut short.
-    A rebuilt GP resamples the chains that use it, and resampling first
-    deletes every later artifact of the mode. A rebuilt stage hands its results on
-    in memory; any other is neither recomputed nor rewritten.
+    A stage is rebuilt only when one of its artifacts is missing or cut short;
+    a GP refit or a chain resample first deletes every artifact made from the
+    old one (for GP_CC, every mode's chains and later stages). The exit code
+    is read from each mode's diagnostics.txt.
     """
     cfg = load_config(config_path, out_override, seed_override)
     cfg_hash = cfg.hash()
@@ -361,16 +360,6 @@ def run_pipeline(config_path, out_override=None, seed_override=None, stages=None
     if "calibrate" not in stages:
         return 0
 
-    def gp_file(rel, build):
-        """(the model at rel, whether it was rebuilt): a file that parses is
-        factorized on first use only, else build() is fitted and saved."""
-        doc = _reuse(out(rel), cfg_hash, _gp_doc)
-        if doc is not None:
-            return functools.cache(lambda: gp.load_model(doc)), False
-        model = build()
-        _replace(out(rel), lambda tmp: gp.save_model(model, tmp, {"config_hash": cfg_hash}))
-        return (lambda: model), True
-
     mcmc_cfg = McmcConfig(
         init=np.ones(4),
         initial_proposal_cov=np.eye(4) * (0.05 * (cfg.prior.hi - cfg.prior.lo)) ** 2,
@@ -383,16 +372,10 @@ def run_pipeline(config_path, out_override=None, seed_override=None, stages=None
     n_val = len(val_cases) * n_loc
     per_chain = (cfg.n_samples - cfg.n_burn) // cfg.thin
     n_diag = 2 * len(PARAMETER_NAMES) + cfg.chains + 1
-    converged = []
-    with stage("calibrate"):
-        gp_cc, rebuilt_cc = gp_file("gp_cc.json", lambda: build_gp_cc(
-            partition, cases, code_model_arrays, cfg.theta_design_size, cfg.prior,
-            seed=cfg.seed, restarts=cfg.gp_restarts,
-        ))
+    mode_arts = {}  # per mode, its stages after its GPs in order: (rel, n_lines) per artifact
     for mode in cfg.modes:
         d = mode.value
-        os.makedirs(out(d), exist_ok=True)
-        arts = {  # the mode's stages after its GPs: (rel, n_lines) per artifact
+        mode_arts[mode] = {
             "chains": [(f"{d}/chain_{k + 1}.csv", 1 + cfg.n_samples) for k in range(cfg.chains)],
             "summaries": [(f"{d}/posterior_summary.csv", 5),
                           (f"{d}/posterior_correlation.csv", 5),
@@ -404,16 +387,38 @@ def run_pipeline(config_path, out_override=None, seed_override=None, stages=None
             "export": [(f"{d}/posterior_pairs.csv", 1 + cfg.chains * per_chain),
                        (f"{d}/posterior_marginals.csv", 1 + 40 * len(PARAMETER_NAMES))],
         }
-        result = chains = None
+    # per mode, every artifact made from its GPs: its chains and all later stages
+    made = {mode: [a for group in mode_arts[mode].values() for a in group] for mode in cfg.modes}
+
+    def gp_file(rel, build, made_from):
+        """The model at rel: a file that parses is factorized on first use only;
+        else the artifacts made_from lists are deleted, then build() is fitted and saved."""
+        doc = _reuse(out(rel), cfg_hash, _gp_doc)
+        if doc is not None:
+            return functools.cache(lambda: gp.load_model(doc))
+        drop(made_from)
+        model = build()
+        _replace(out(rel), lambda tmp: gp.save_model(model, tmp, {"config_hash": cfg_hash}))
+        return lambda: model
+
+    converged = []
+    with stage("calibrate"):
+        # GP_MD is fitted on raw-code residuals, not on GP_CC, so a GP_CC refit keeps it
+        gp_cc = gp_file("gp_cc.json", lambda: build_gp_cc(
+            partition, cases, code_model_arrays, cfg.theta_design_size, cfg.prior,
+            seed=cfg.seed, restarts=cfg.gp_restarts,
+        ), sum(made.values(), []))
+    for mode in cfg.modes:
+        d = mode.value
+        os.makedirs(out(d), exist_ok=True)
+        arts, result, chains = mode_arts[mode], None, None
         with stage("calibrate"):
-            gp_md, rebuilt_md = (lambda: None), False
-            if mode is CalibrationMode.WithDiscrepancy:
-                gp_md, rebuilt_md = gp_file(f"{d}/gp_md.json", lambda: build_gp_md(
-                    partition, cases, code_model_arrays, restarts=cfg.gp_restarts,
-                    seed=cfg.seed + 1))
-            if stale(arts["chains"]) or rebuilt_cc or rebuilt_md:
-                # no later artifact may outlive the old chains, even if this command stops
-                drop(arts["summaries"] + arts["validate"] + arts["export"])
+            gp_md = gp_file(f"{d}/gp_md.json", lambda: build_gp_md(
+                partition, cases, code_model_arrays, restarts=cfg.gp_restarts,
+                seed=cfg.seed + 1), made[mode]
+            ) if mode is CalibrationMode.WithDiscrepancy else (lambda: None)
+            if stale(arts["chains"]):
+                drop(made[mode])  # so a stop before the last chain leaves none of the old set
                 result = calibrate(SurrogatePair(gp_cc=gp_cc(), gp_md=gp_md()), cases,
                                    partition, mode, cfg.prior, mcmc_cfg, cfg.chains)
                 chains = result.chains
@@ -439,8 +444,7 @@ def run_pipeline(config_path, out_override=None, seed_override=None, stages=None
                     lines.append(f"acceptance chain_{k + 1} = {a:.4f}")
                 lines.append(f"converged = {result.converged}")
                 _write_artifact(out(d, "diagnostics.txt"), cfg_hash, lines)
-            converged.append(result.converged if result else whole(
-                f"{d}/diagnostics.txt", n_diag).endswith(b"converged = True\n"))
+            converged.append(whole(f"{d}/diagnostics.txt", n_diag).endswith(b"converged = True\n"))
 
         with stage("validate"):
             if "validate" in stages and stale(arts["validate"]):

@@ -59,7 +59,6 @@ class PosteriorChain:
     draws: np.ndarray                 # (n_samples, d)
     log_posterior_values: np.ndarray  # (n_samples,)
     accepted: np.ndarray              # (n_samples,) bool
-    acceptance_rate: float            # post-burn-in fraction
     scale_history: list[tuple[int, float]]
     n_burn: int
 
@@ -67,9 +66,14 @@ class PosteriorChain:
     def post_burn(self) -> np.ndarray:
         return self.draws[self.n_burn:]
 
-    def to_csv(self, path, param_names=None, header_extra: str | None = None) -> None:
+    @property
+    def acceptance_rate(self) -> float:
+        """The post-burn-in fraction of accepted proposals."""
+        return float(self.accepted[self.n_burn:].mean())
+
+    def to_csv(self, path, header_extra: str | None = None) -> None:
         n, d = self.draws.shape
-        names = param_names or [f"theta{j + 1}" for j in range(d)]
+        names = [f"theta{j + 1}" for j in range(d)]
         # one %-format over the whole table: %.17g round-trips every float,
         # and %d prints the float step and accepted columns as integers
         table = np.column_stack([np.arange(n), self.draws, self.log_posterior_values,
@@ -152,17 +156,16 @@ def adaptive_mh(log_post, configs) -> LockstepChains:
 
     chains = []
     for k in range(n_chains):
-        post_acc = float(acc[k, n_burn:].mean())
-        if post_acc == 0.0:
-            warnings.warn("all post-burn-in proposals rejected: chain did not move")
-        chains.append(PosteriorChain(
+        chain = PosteriorChain(
             draws=draws[k],
             log_posterior_values=lps[k],
             accepted=acc[k],
-            acceptance_rate=post_acc,
             scale_history=scale_history[k],
             n_burn=n_burn,
-        ))
+        )
+        if chain.acceptance_rate == 0.0:
+            warnings.warn("all post-burn-in proposals rejected: chain did not move")
+        chains.append(chain)
     return LockstepChains(chains)
 
 

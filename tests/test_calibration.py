@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -258,10 +260,9 @@ def test_mode_consistency_zero_discrepancy(setup, pair):
     cases, part = setup
     lp_no = LogPosterior(pair, cases, part, CalibrationMode.NoDiscrepancy, PriorSpec())
 
-    lp_with = LogPosterior(pair, cases, part, CalibrationMode.WithDiscrepancy,
-                           PriorSpec())
-    lp_with.delta = np.zeros_like(lp_with.delta)
-    lp_with.sigma2_delta = np.zeros_like(lp_with.sigma2_delta)
+    # with-discrepancy mode without a GP_MD: delta and its variance are zero
+    lp_with = LogPosterior(SurrogatePair(gp_cc=pair.gp_cc), cases, part,
+                           CalibrationMode.WithDiscrepancy, PriorSpec())
     for theta in (np.ones(4), np.array([1.5, 0.7, 2.0, 0.3])):
         assert abs(lp_with(theta[None])[0] - lp_no(theta[None])[0]) < 1e-12
 
@@ -279,7 +280,9 @@ def test_variance_inflation_flattens_posterior(setup, pair):
     lp = LogPosterior(pair, cases, part, CalibrationMode.NoDiscrepancy, PriorSpec())
     a, b = np.ones((1, 4)), np.array([[2.0, 0.5, 1.5, 0.8]])
     base_gap = abs(lp(a)[0] - lp(b)[0])
-    lp.sigma2_exp = lp.sigma2_exp * 16
+    # sigma_exp 4x larger: sigma2_exp 16x larger
+    noisy = [replace(c, meas=replace(c.meas, sigma_exp=4 * c.meas.sigma_exp)) for c in cases]
+    lp = LogPosterior(pair, noisy, part, CalibrationMode.NoDiscrepancy, PriorSpec())
     inflated_gap = abs(lp(a)[0] - lp(b)[0])
     assert inflated_gap < base_gap
 

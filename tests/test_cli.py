@@ -14,6 +14,7 @@ from mbcal.cli import (
     write_dataset_csv,
 )
 from mbcal.domain import DATASET_HEADER
+from mbcal.mcmc import PosteriorChain
 from mbcal.synthbench import SynthConfig, generate_dataset
 
 
@@ -352,22 +353,104 @@ def test_pipeline_resume_and_determinism(small_run, tmp_path, dataset):
     assert _tree(out) == before
 
 
-def test_pipeline_resume_after_gp_rebuild_resamples_chains(small_run, tmp_path, dataset):
-    # a refitted GP_CC is a rebuilt input: every mode's chains are sampled
-    # again against it, and everything downstream of them is rebuilt
+@pytest.mark.parametrize("gp_name, made_from", [
+    ("gp_cc.json", ("with_discrepancy/", "no_discrepancy/")),
+    ("with_discrepancy/gp_md.json", ("with_discrepancy/",)),
+], ids=["gp_cc", "gp_md"])
+def test_pipeline_resume_after_gp_rebuild_resamples_chains(small_run, tmp_path, dataset,
+                                                          gp_name, made_from):
+    # a refitted GP is a rebuilt input: the chains of every mode that uses it
+    # are sampled again against it, and everything downstream of them is
+    # rebuilt. GP_MD is fitted on raw-code residuals, not on GP_CC, so a
+    # GP_CC refit keeps it; every other file keeps its inode and mtime.
     rc, _, out = small_run
     out2 = tmp_path / "copy"
     shutil.copytree(out, out2)
-    (out2 / "gp_cc.json").unlink()
+    (out2 / gp_name).unlink()
     before = _tree(out2)
     assert run_pipeline(write_config(tmp_path / "c.cfg", dataset, out2)) == rc
     after = _tree(out2)
-    assert set(after) == set(before) | {"gp_cc.json"}
+    assert set(after) == set(before) | {gp_name}
     for name, (blob, ino, mtime) in after.items():
-        if name != "manifest.txt":  # it records out_dir
-            assert blob == (out / name).read_bytes(), name
-        if "chain_" in name:  # a rewrite may reuse the inode, not the mtime too
-            assert (ino, mtime) != before[name][1:], name
+        if name in ("manifest.txt", gp_name):  # the manifest records out_dir
+            continue
+        assert blob == (out / name).read_bytes(), name
+        rebuilt = name.startswith(made_from) and not name.endswith("gp_md.json")
+        # a rewrite may reuse the inode, not the mtime too
+        assert ((ino, mtime) != before[name][1:]) == rebuilt, name
+
+
+def _plant(path):
+    """Set every theta column of a chain file to 1.2345, keeping its hash
+    line and line count, so the file still reads as whole."""
+    lines = path.read_text().splitlines(keepends=True)
+    rows = [line.split(",") for line in lines[2:]]
+    path.write_text("".join(lines[:2]) + "".join(
+        ",".join([r[0], *["1.2345"] * 4, *r[5:]]) for r in rows))
+
+
+def _assert_same_bytes(out2, out):
+    """out2 holds out's files with out's bytes, except manifest.txt (it records out_dir)."""
+    names = {str(p.relative_to(out)) for p in out.rglob("*") if p.is_file()}
+    assert {str(p.relative_to(out2)) for p in out2.rglob("*") if p.is_file()} == names
+    for name in names - {"manifest.txt"}:
+        assert (out2 / name).read_bytes() == (out / name).read_bytes(), name
+
+
+def _stop(after_calls, fn):
+    """fn, except that call number after_calls + 1 raises instead."""
+    calls = []
+
+    def wrapped(*args, **kwargs):
+        calls.append(1)
+        if len(calls) > after_calls:
+            raise RuntimeError("stopped")
+        return fn(*args, **kwargs)
+    return wrapped
+
+
+def test_stop_after_gp_cc_refit_leaves_no_artifact_of_the_old_one(small_run, tmp_path,
+                                                                  dataset):
+    # a GP_CC refit deletes every mode's chains and later artifacts before it
+    # starts, so a run stopped inside the first mode's sampling leaves no
+    # chain of the old GP_CC for the next run to reuse
+    rc, _, out = small_run
+    out2 = tmp_path / "copy"
+    shutil.copytree(out, out2)
+    for mode in ("with_discrepancy", "no_discrepancy"):
+        _plant(out2 / mode / "chain_1.csv")
+    (out2 / "gp_cc.json").unlink()
+    cfg_path = write_config(tmp_path / "c.cfg", dataset, out2)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(mbcal.cli, "calibrate", _stop(0, mbcal.cli.calibrate))
+        with pytest.raises(RuntimeError, match="stopped"):
+            run_pipeline(cfg_path)
+    assert [p.name for p in (out2 / "with_discrepancy").iterdir()] == ["gp_md.json"]
+    assert list((out2 / "no_discrepancy").iterdir()) == []
+    assert run_pipeline(cfg_path) == rc
+    _assert_same_bytes(out2, out)
+
+
+def test_stop_after_gp_md_refit_leaves_no_chain_of_the_old_one(small_run, tmp_path,
+                                                               dataset):
+    # a GP_MD refit deletes its mode's whole chain set before it starts, so a
+    # run stopped after writing chain_1.csv leaves no old chain_2.csv beside it
+    rc, _, out = small_run
+    out2 = tmp_path / "copy"
+    shutil.copytree(out, out2)
+    chain_2 = out2 / "with_discrepancy" / "chain_2.csv"
+    _plant(chain_2)
+    (out2 / "with_discrepancy" / "gp_md.json").unlink()
+    cfg_path = write_config(tmp_path / "c.cfg", dataset, out2)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(PosteriorChain, "to_csv", _stop(1, PosteriorChain.to_csv))
+        with pytest.raises(RuntimeError, match="stopped"):
+            run_pipeline(cfg_path)
+    assert (out2 / "with_discrepancy" / "chain_1.csv").exists()
+    assert not chain_2.exists()
+    assert run_pipeline(cfg_path) == rc
+    assert chain_2.read_bytes() == (out / "with_discrepancy" / "chain_2.csv").read_bytes()
+    _assert_same_bytes(out2, out)
 
 
 def test_validate_then_export_propagates_once_per_mode(small_run, tmp_path, dataset,

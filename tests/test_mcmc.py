@@ -171,14 +171,15 @@ def test_diagnostics_frozen_chains_infinite_rhat():
     base = one_chain(std_normal, config_1d(seed=7, n_samples=200, n_burn=50))
     frozen1 = base.__class__(
         draws=np.zeros_like(base.draws), log_posterior_values=base.log_posterior_values,
-        accepted=base.accepted, acceptance_rate=0.0, scale_history=[], n_burn=50,
+        accepted=np.zeros_like(base.accepted), scale_history=[], n_burn=50,
     )
     frozen2 = base.__class__(
         draws=np.ones_like(base.draws), log_posterior_values=base.log_posterior_values,
-        accepted=base.accepted, acceptance_rate=0.0, scale_history=[], n_burn=50,
+        accepted=np.zeros_like(base.accepted), scale_history=[], n_burn=50,
     )
     d = diagnostics([frozen1, frozen2])
     assert np.isinf(d["rhat"][0])
+    assert d["acceptance"] == [0.0, 0.0]
 
 
 def test_diagnostics_needs_two_chains():
@@ -196,10 +197,10 @@ def test_chain_csv_roundtrip(tmp_path):
     assert len(lines) == 301
 
 
-def _to_csv_per_row(chain, path, param_names=None, header_extra=None):
+def _to_csv_per_row(chain, path, header_extra=None):
     """Reference: the chain writer as one f-string per row."""
     d = chain.draws.shape[1]
-    names = param_names or [f"theta{j + 1}" for j in range(d)]
+    names = [f"theta{j + 1}" for j in range(d)]
     with open(path, "w") as fh:
         if header_extra:
             fh.write(header_extra)
@@ -212,8 +213,7 @@ def _to_csv_per_row(chain, path, param_names=None, header_extra=None):
 
 def _chain(draws, lps, acc, n_burn=0):
     return PosteriorChain(draws=draws, log_posterior_values=lps, accepted=acc,
-                          acceptance_rate=float(acc[n_burn:].mean()), scale_history=[],
-                          n_burn=n_burn)
+                          scale_history=[], n_burn=n_burn)
 
 
 def test_chain_csv_matches_per_row_writer_and_reads_back(tmp_path):
@@ -224,8 +224,7 @@ def test_chain_csv_matches_per_row_writer_and_reads_back(tmp_path):
     awkward = np.array([[0.1, -0.0, 1e-300, 5.0], [1 / 3, 2.0**-1074, 1e17, -2.5e-8]])
     cases = [
         (mh, {}),
-        (mh, {"param_names": ["P1008", "P1012", "P1022", "P1028"],
-              "header_extra": "# config_hash=abc\n"}),
+        (mh, {"header_extra": "# config_hash=abc\n"}),
         (_chain(awkward, np.array([-1e-12, -123456.789]), np.array([False, True])), {}),
         (_chain(rng.random((1, 3)), np.array([-7.25]), np.array([True])),
          {"header_extra": "# config_hash=one-row\n"}),
