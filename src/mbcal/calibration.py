@@ -11,7 +11,7 @@ sampled (the "modular" part).
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -19,7 +19,7 @@ from scipy.spatial.distance import cdist
 
 from . import gp
 from .domain import PARAMETER_NAMES, Partition
-from .mcmc import McmcConfig, PosteriorChain, adaptive_mh, diagnostics
+from .mcmc import PosteriorChain, adaptive_mh, diagnostics
 from .sampler import lhs_sample
 
 __all__ = [
@@ -155,7 +155,6 @@ class LogPosterior:
     def __init__(self, pair: SurrogatePair, cases, partition: Partition,
                  mode: CalibrationMode, prior: PriorSpec):
         cal_cases = _sorted_cases(cases, partition.calibration_ids)
-        self.mode = mode
         self.x_cal = np.array([c.x.as_array() for c in cal_cases])
         self.prior = prior
         self.y_exp = np.array([c.y_exp.as_array() for c in cal_cases])
@@ -204,7 +203,6 @@ class LogPosterior:
 
 @dataclass
 class CalibrationResult:
-    mode: CalibrationMode
     chains: list[PosteriorChain]
     diagnostics: dict
     summary: dict            # per-parameter stats over pooled post-burn draws
@@ -212,7 +210,7 @@ class CalibrationResult:
     converged: bool
 
 
-def summarize(mode: CalibrationMode, chains: list[PosteriorChain]) -> CalibrationResult:
+def summarize(chains: list[PosteriorChain]) -> CalibrationResult:
     """Diagnostics and pooled post-burn-in statistics of finished chains.
     Converged means every R-hat < 1.1."""
     diag = diagnostics(chains)
@@ -229,7 +227,7 @@ def summarize(mode: CalibrationMode, chains: list[PosteriorChain]) -> Calibratio
             "p97.5": float(p[2]),
         }
     return CalibrationResult(
-        mode=mode, chains=chains, diagnostics=diag, summary=summary,
+        chains=chains, diagnostics=diag, summary=summary,
         correlation=np.corrcoef(pooled.T), converged=bool(np.all(diag["rhat"] < 1.1)),
     )
 
@@ -240,37 +238,35 @@ def calibrate(
     partition: Partition,
     mode: CalibrationMode,
     prior: PriorSpec,
-    mcmc_config: McmcConfig,
+    n_samples: int,
+    n_burn: int,
     n_chains: int,
+    seed: int,
 ) -> CalibrationResult:
     """Modular-Bayesian calibration in one mode with the surrogates held fixed.
 
-    Runs n_chains adaptive-MH chains from jittered starts around
-    mcmc_config.init, confined to the prior box and stepped in lockstep, so
-    each MH step is one LogPosterior call over every chain's proposal, and
-    summarizes them. Non-convergence (any R-hat >= 1.1) is reported in the
-    result and warned about, not raised.
+    Runs n_chains adaptive-MH chains, confined to the prior box and stepped
+    in lockstep, so each MH step is one LogPosterior call over every chain's
+    proposal, and summarizes them. Chain 1 starts at theta = 1 and the others
+    at 1 + 0.1 N(0, I), clipped to the box; the proposal covariance starts at
+    (0.05 (hi - lo))^2 I. The 2 n_chains streams of SeedSequence(seed) give
+    chain k its start (stream 2k) and its MH generator (stream 2k + 1).
+    Non-convergence (any R-hat >= 1.1) is reported in the result and warned
+    about, not raised.
     """
     if n_chains < 2:
         raise ValueError("need at least 2 chains for diagnostics")
     log_post = LogPosterior(pair, cases, partition, mode, prior)
-    mcmc_config = replace(
-        mcmc_config,
-        support=(np.full(THETA_DIM, prior.lo), np.full(THETA_DIM, prior.hi)),
-    )
+    streams = np.random.SeedSequence(seed).generate_state(2 * n_chains)
+    inits = np.ones((n_chains, THETA_DIM))
+    for k in range(1, n_chains):
+        inits[k] += 0.1 * np.random.default_rng(int(streams[2 * k])).standard_normal(THETA_DIM)
+    box = (np.full(THETA_DIM, prior.lo), np.full(THETA_DIM, prior.hi))
+    proposal_cov = np.eye(THETA_DIM) * (0.05 * (prior.hi - prior.lo)) ** 2
+    chains = adaptive_mh(log_post, np.clip(inits, *box), proposal_cov, n_samples, n_burn,
+                         [int(s) for s in streams[1::2]], support=box).chains
 
-    chain_seeds = np.random.SeedSequence(mcmc_config.seed).generate_state(2 * n_chains)
-    configs = []
-    for k in range(n_chains):
-        rng = np.random.default_rng(int(chain_seeds[2 * k]))
-        init = np.clip(
-            mcmc_config.init + 0.1 * rng.standard_normal(THETA_DIM) * (k > 0),
-            prior.lo, prior.hi,
-        )
-        configs.append(replace(mcmc_config, init=init, seed=int(chain_seeds[2 * k + 1])))
-    chains = adaptive_mh(log_post, configs).chains
-
-    result = summarize(mode, chains)
+    result = summarize(chains)
     if not result.converged:
         warnings.warn(
             f"MCMC not converged: max R-hat = {np.max(result.diagnostics['rhat']):.3f}"

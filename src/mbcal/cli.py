@@ -45,7 +45,7 @@ from .domain import (
     write_dataset_csv,
 )
 from .forward_uq import propagate, rmse_report
-from .mcmc import McmcConfig, PosteriorChain, diagnostics  # noqa: F401 (traced name)
+from .mcmc import PosteriorChain, diagnostics  # noqa: F401 (traced name)
 from .sensitivity import oat_screen, sobol_indices
 from .synthbench import SynthConfig, code_model_arrays, generate_dataset
 
@@ -174,6 +174,8 @@ def load_config(path, out_override=None, seed_override=None) -> PipelineConfig:
         raise ValueError("missing calibration_ids (or partition_file)")
     if cfg.n_burn >= cfg.n_samples:
         raise ValueError("n_burn must be < n_samples")
+    if cfg.chains < 2:
+        raise ValueError("chains must be >= 2 for the R-hat diagnostics")
     if not os.path.exists(cfg.dataset_path):
         raise ValueError(f"dataset file not found: {cfg.dataset_path}")
     cfg.input_digests = [  # SHA-256 of the dataset and partition files
@@ -360,11 +362,6 @@ def run_pipeline(config_path, out_override=None, seed_override=None, stages=None
     if "calibrate" not in stages:
         return 0
 
-    mcmc_cfg = McmcConfig(
-        init=np.ones(4),
-        initial_proposal_cov=np.eye(4) * (0.05 * (cfg.prior.hi - cfg.prior.lo)) ** 2,
-        n_samples=cfg.n_samples, n_burn=cfg.n_burn, seed=cfg.seed,
-    )
     ids_val = [c.case_id for c in val_cases]
     xs_val = np.array([c.x.as_array() for c in val_cases])
     y_val = np.array([c.y_exp.as_array() for c in val_cases])
@@ -420,14 +417,16 @@ def run_pipeline(config_path, out_override=None, seed_override=None, stages=None
             if stale(arts["chains"]):
                 drop(made[mode])  # so a stop before the last chain leaves none of the old set
                 result = calibrate(SurrogatePair(gp_cc=gp_cc(), gp_md=gp_md()), cases,
-                                   partition, mode, cfg.prior, mcmc_cfg, cfg.chains)
+                                   partition, mode, cfg.prior, cfg.n_samples, cfg.n_burn,
+                                   cfg.chains, cfg.seed)
                 chains = result.chains
                 for (rel, _), chain in zip(arts["chains"], chains):
                     _replace(out(rel), lambda tmp: chain.to_csv(
                         tmp, header_extra=_hash_line(cfg_hash)))
-            if stale(arts["summaries"]):
+            summaries = [whole(*a) for a in arts["summaries"]]  # diagnostics.txt last
+            if None in summaries:
                 chains = chains or read_chains(arts["chains"])
-                result = result or summarize(mode, chains)
+                result = result or summarize(chains)
                 stats = ("mean", "std", "p2.5", "p50", "p97.5")
                 _write_csv(out(d, "posterior_summary.csv"), cfg_hash,
                            "parameter," + ",".join(stats),
@@ -444,7 +443,8 @@ def run_pipeline(config_path, out_override=None, seed_override=None, stages=None
                     lines.append(f"acceptance chain_{k + 1} = {a:.4f}")
                 lines.append(f"converged = {result.converged}")
                 _write_artifact(out(d, "diagnostics.txt"), cfg_hash, lines)
-            converged.append(whole(f"{d}/diagnostics.txt", n_diag).endswith(b"converged = True\n"))
+                summaries[-1] = whole(*arts["summaries"][-1])
+            converged.append(summaries[-1].endswith(b"converged = True\n"))
 
         with stage("validate"):
             if "validate" in stages and stale(arts["validate"]):

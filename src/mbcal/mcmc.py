@@ -3,9 +3,10 @@ plus split-R-hat / effective-sample-size convergence diagnostics.
 
 The K chains of one run step in lockstep: each step proposes a move for
 every chain, evaluates the log density of all in-support proposals in one
-(K, d) -> (K,) call, and accepts or rejects each chain on its own. Every
-chain keeps its own generator, scale and proposal covariance, so chain k is
-draw for draw the chain that a run of it alone would give.
+(K, d) -> (K,) call, and accepts or rejects each chain on its own. The
+chains share the run's length, burn-in, starting proposal covariance and
+box; each keeps its own start, generator, scale and adapted covariance, so
+chain k is draw for draw the chain that a run of its start alone would give.
 
 Adaptation (scale and proposal covariance) runs only during burn-in and is
 frozen afterwards, so the retained samples come from a fixed-kernel chain.
@@ -18,40 +19,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["McmcConfig", "PosteriorChain", "LockstepChains", "adaptive_mh", "diagnostics"]
+__all__ = ["PosteriorChain", "LockstepChains", "adaptive_mh", "diagnostics"]
 
 TARGET_ACCEPTANCE = 0.234  # burn-in steers the acceptance rate toward this
 ADAPT_INTERVAL = 50        # burn-in steps between adaptations
-
-
-@dataclass(frozen=True)
-class McmcConfig:
-    init: np.ndarray
-    initial_proposal_cov: np.ndarray
-    n_samples: int = 20000
-    n_burn: int = 4000
-    seed: int = 0
-    support: tuple[np.ndarray, np.ndarray] | None = None  # (lo, hi) box or None
-
-    def __post_init__(self):
-        init = np.asarray(self.init, dtype=float).ravel()
-        object.__setattr__(self, "init", init)
-        cov = np.atleast_2d(np.asarray(self.initial_proposal_cov, dtype=float))
-        object.__setattr__(self, "initial_proposal_cov", cov)
-        if self.n_burn >= self.n_samples:
-            raise ValueError("n_burn must be < n_samples")
-        d = init.size
-        if cov.shape != (d, d):
-            raise ValueError("proposal covariance shape must match init dimension")
-        try:
-            np.linalg.cholesky(cov)
-        except np.linalg.LinAlgError:
-            raise ValueError("initial proposal covariance must be SPD") from None
-        if self.support is not None:
-            lo, hi = (np.asarray(v, dtype=float).ravel() for v in self.support)
-            object.__setattr__(self, "support", (lo, hi))
-            if np.any(init < lo) or np.any(init > hi):
-                raise ValueError("init outside prior support")
 
 
 @dataclass
@@ -88,7 +59,7 @@ class PosteriorChain:
 
 @dataclass
 class LockstepChains:
-    """The K chains of one lockstep run, in the order of their configs."""
+    """The K chains of one lockstep run, in the order of their starts."""
 
     chains: list[PosteriorChain]
 
@@ -98,40 +69,51 @@ class LockstepChains:
         return np.stack([c.draws for c in self.chains], axis=1)
 
 
-def adaptive_mh(log_post, configs) -> LockstepChains:
+def adaptive_mh(log_post, inits, proposal_cov, n_samples: int, n_burn: int, seeds,
+                support=None) -> LockstepChains:
     """Random-walk MH with proposal N(theta, s^2 C), adapting s and C in burn-in,
-    for K chains (one McmcConfig each) stepped in lockstep.
+    for K chains stepped in lockstep from the K rows of inits (K, d), chain k
+    drawing from the generator seeded with seeds[k].
 
     log_post maps a (k, d) array of proposals to their (k,) log densities.
-    Every ADAPT_INTERVAL steps of burn-in each chain's global scale follows
+    Every chain starts from C = proposal_cov (d, d, SPD). Every ADAPT_INTERVAL
+    steps of burn-in each chain's global scale follows
     s <- s * exp(acc_window - TARGET_ACCEPTANCE), and its C is refreshed to
     the empirical covariance of its draws so far (plus 1e-8 I) once 10*d
     draws exist.
-    A proposal outside its chain's support box is rejected without a
-    density evaluation or a uniform draw.
+    support is a (lo, hi) box or None; a proposal outside it is rejected
+    without a density evaluation or a uniform draw.
     """
-    cfgs = list(configs)
-    if len({(c.n_samples, c.n_burn, c.init.size) for c in cfgs}) != 1:
-        raise ValueError("lockstep chains must share n_samples, n_burn and dimension")
-    n, n_burn, d = cfgs[0].n_samples, cfgs[0].n_burn, cfgs[0].init.size
-    n_chains = len(cfgs)
-    rngs = [np.random.default_rng(c.seed) for c in cfgs]
-    box = [c.support or (np.full(d, -np.inf), np.full(d, np.inf)) for c in cfgs]
-    lo, hi = (np.array(b) for b in zip(*box))
-    cur = np.array([c.init for c in cfgs])
+    cur = np.array(inits, dtype=float, ndmin=2)
+    n_chains, d = cur.shape
+    cov = np.atleast_2d(np.asarray(proposal_cov, dtype=float))
+    if n_burn >= n_samples:
+        raise ValueError("n_burn must be < n_samples")
+    if cov.shape != (d, d):
+        raise ValueError("proposal covariance shape must match init dimension")
+    try:
+        chol = np.linalg.cholesky(cov)
+    except np.linalg.LinAlgError:
+        raise ValueError("initial proposal covariance must be SPD") from None
+    if len(seeds) != n_chains:
+        raise ValueError("need one seed per chain start")
+    lo, hi = (-np.inf, np.inf) if support is None else (np.asarray(v, float) for v in support)
+    if np.any(cur < lo) or np.any(cur > hi):
+        raise ValueError("init outside prior support")
+    rngs = [np.random.default_rng(seed) for seed in seeds]
     cur_lp = np.array(log_post(cur), dtype=float)
     if not np.isfinite(cur_lp).all():
         raise ValueError("log_post(init) is not finite")
 
     s = np.full(n_chains, 2.38 / np.sqrt(d))
-    chol = np.array([np.linalg.cholesky(c.initial_proposal_cov) for c in cfgs])  # (K, d, d)
-    draws = np.empty((n_chains, n, d))
-    lps = np.empty((n_chains, n))
-    acc = np.zeros((n_chains, n), dtype=bool)
+    chol = np.repeat(chol[None], n_chains, axis=0)  # (K, d, d), one per chain once adapted
+    draws = np.empty((n_chains, n_samples, d))
+    lps = np.empty((n_chains, n_samples))
+    acc = np.zeros((n_chains, n_samples), dtype=bool)
     scale_history = [[(0, s[k])] for k in range(n_chains)]
 
     z = np.empty((n_chains, d))
-    for t in range(n):
+    for t in range(n_samples):
         for rng, z_k in zip(rngs, z):
             rng.standard_normal(out=z_k)
         prop = cur + s[:, None] * np.matmul(chol, z[:, :, None])[:, :, 0]

@@ -13,7 +13,7 @@ import pytest
 import mbcal.gp as gp
 from mbcal.cli import run_pipeline
 from mbcal.domain import suggest_calibration_ids
-from mbcal.mcmc import McmcConfig, adaptive_mh, diagnostics
+from mbcal.mcmc import adaptive_mh, diagnostics
 from mbcal.sampler import lhs_sample
 from mbcal.sensitivity import oat_screen, sobol_indices
 from mbcal.synthbench import THETA_TRUE, SynthConfig, code_model_arrays, generate_dataset
@@ -138,13 +138,12 @@ def test_a3_sobol_oracle():
 def test_a4_mcmc_oracle():
     t0 = time.time()
 
-    def cfg_for(init, cov, seed):
-        return McmcConfig(init=init, initial_proposal_cov=cov,
-                          n_samples=20000, n_burn=4000, seed=seed)
+    def mh(target, d, cov, seeds):
+        return adaptive_mh(target, np.zeros((len(seeds), d)), cov, n_samples=20000,
+                           n_burn=4000, seeds=seeds).chains
 
     # 1-D standard normal
-    chains = adaptive_mh(lambda th: -0.5 * th[:, 0] ** 2,
-                         [cfg_for(np.zeros(1), np.eye(1), s) for s in range(4)]).chains
+    chains = mh(lambda th: -0.5 * th[:, 0] ** 2, 1, np.eye(1), range(4))
     post = chains[0].post_burn[:, 0]
     assert abs(post.mean()) <= 0.05, f"1-D mean {post.mean():.4f}"
     assert abs(post.var() - 1.0) <= 0.10, f"1-D var {post.var():.4f}"
@@ -156,8 +155,7 @@ def test_a4_mcmc_oracle():
     # 2-D correlated Gaussian, rho = -0.7
     prec = np.linalg.inv(np.array([[1.0, -0.7], [-0.7, 1.0]]))
     target = lambda th: -0.5 * np.einsum("ki,ij,kj->k", th, prec, th)
-    chains2 = adaptive_mh(target, [cfg_for(np.zeros(2), 0.5 * np.eye(2), s)
-                                   for s in range(4)]).chains
+    chains2 = mh(target, 2, 0.5 * np.eye(2), range(4))
     pooled = np.concatenate([c.post_burn for c in chains2])
     assert np.all(np.abs(pooled.mean(axis=0)) <= 0.05)
     assert np.all(np.abs(pooled.var(axis=0) - 1.0) <= 0.10)
@@ -169,8 +167,8 @@ def test_a4_mcmc_oracle():
         assert 0.10 <= c.acceptance_rate <= 0.45
 
     # bit-identical chains under fixed seed
-    a = adaptive_mh(target, [cfg_for(np.zeros(2), 0.5 * np.eye(2), 9)]).chains[0]
-    b = adaptive_mh(target, [cfg_for(np.zeros(2), 0.5 * np.eye(2), 9)]).chains[0]
+    a = mh(target, 2, 0.5 * np.eye(2), [9])[0]
+    b = mh(target, 2, 0.5 * np.eye(2), [9])[0]
     np.testing.assert_array_equal(a.draws, b.draws)
 
     elapsed = _budget(t0, 60, "A4")

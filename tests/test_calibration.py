@@ -14,7 +14,7 @@ from mbcal.calibration import (
     calibrate,
 )
 from mbcal.domain import ParameterVector, partition_dataset, suggest_calibration_ids
-from mbcal.mcmc import McmcConfig, adaptive_mh
+from mbcal.mcmc import adaptive_mh
 from mbcal.sampler import lhs_sample
 from mbcal.synthbench import SynthConfig, code_model_arrays, generate_dataset
 
@@ -245,10 +245,10 @@ def test_fused_log_posterior_keeps_mh_chain(setup, pair, mode):
     lp = LogPosterior(pair, cases, part, mode, PriorSpec())
     prior = PriorSpec()
     dense = _dense_log_posterior(pair, lp, mode)
-    mc = McmcConfig(init=np.ones(4), initial_proposal_cov=np.eye(4) * 0.06,
-                    n_samples=500, n_burn=200, seed=12,
-                    support=(np.full(4, prior.lo), np.full(4, prior.hi)))
-    fused, ref = (adaptive_mh(f, [mc]).chains[0] for f in (lp, dense))
+    fused, ref = (adaptive_mh(f, np.ones((1, 4)), np.eye(4) * 0.06, n_samples=500,
+                              n_burn=200, seeds=[12],
+                              support=(np.full(4, prior.lo), np.full(4, prior.hi))).chains[0]
+                  for f in (lp, dense))
     assert fused.draws.tobytes() == ref.draws.tobytes()
     assert fused.accepted.tobytes() == ref.accepted.tobytes()
     assert fused.accepted.sum() > 50
@@ -289,20 +289,17 @@ def test_variance_inflation_flattens_posterior(setup, pair):
 
 def test_calibrate_needs_two_chains(setup, pair):
     cases, part = setup
-    mc = McmcConfig(init=np.ones(4), initial_proposal_cov=np.eye(4) * 0.06,
-                    n_samples=100, n_burn=50)
     with pytest.raises(ValueError, match="chains"):
-        calibrate(pair, cases, part, CalibrationMode.NoDiscrepancy, PriorSpec(), mc, 1)
+        calibrate(pair, cases, part, CalibrationMode.NoDiscrepancy, PriorSpec(),
+                  n_samples=100, n_burn=50, n_chains=1, seed=0)
 
 
 def test_calibrate_posterior_structure(setup, pair):
     cases, part = setup
-    mc = McmcConfig(init=np.ones(4), initial_proposal_cov=np.eye(4) * 0.06,
-                    n_samples=4000, n_burn=1000, seed=3)
-    res_w = calibrate(pair, cases, part, CalibrationMode.WithDiscrepancy, PriorSpec(),
-                      mc, n_chains=2)
+    mc = dict(n_samples=4000, n_burn=1000, n_chains=2, seed=3)
+    res_w = calibrate(pair, cases, part, CalibrationMode.WithDiscrepancy, PriorSpec(), **mc)
     res_n = calibrate(SurrogatePair(gp_cc=pair.gp_cc), cases, part,
-                      CalibrationMode.NoDiscrepancy, PriorSpec(), mc, n_chains=2)
+                      CalibrationMode.NoDiscrepancy, PriorSpec(), **mc)
     assert res_w.correlation[0, 1] < -0.2
     assert res_n.correlation[0, 1] < -0.2
     narrower = sum(

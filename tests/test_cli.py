@@ -1,3 +1,4 @@
+import collections
 import os
 import shutil
 
@@ -116,6 +117,7 @@ def test_load_config_validation(tmp_path, dataset):
         ("n_burn", "600", "n_burn"),
         ("run_screen", "maybe", "boolean"),
         ("modes", "bogus_mode", "bogus_mode"),
+        ("chains", "1", "chains"),
     ]:
         path = write_config(tmp_path / "c.cfg", dataset, tmp_path / "out",
                             **{key: val})
@@ -351,6 +353,18 @@ def test_pipeline_resume_and_determinism(small_run, tmp_path, dataset):
     # included, and exits as the cold run did
     assert run_pipeline(cfg_path) == rc
     assert _tree(out) == before
+
+
+def test_finished_resume_reads_each_artifact_once(small_run, monkeypatch):
+    # the exit code comes from the diagnostics.txt body the summaries check read
+    rc, cfg_path, out = small_run
+    reads = collections.Counter()
+    reuse = mbcal.cli._reuse
+    monkeypatch.setattr(mbcal.cli, "_reuse", lambda path, *a: reads.update(
+        [os.path.relpath(path, out)]) or reuse(path, *a))
+    assert run_pipeline(cfg_path) == rc
+    files = [str(p.relative_to(out)) for p in out.rglob("*") if p.is_file()]
+    assert reads == collections.Counter(files)
 
 
 @pytest.mark.parametrize("gp_name, made_from", [

@@ -3,7 +3,7 @@ import pytest
 from scipy.integrate import quad
 
 from mbcal.cli import _hash_of, _read_chain
-from mbcal.mcmc import McmcConfig, PosteriorChain, adaptive_mh, diagnostics
+from mbcal.mcmc import PosteriorChain, adaptive_mh, diagnostics
 
 
 def std_normal(theta):
@@ -11,18 +11,25 @@ def std_normal(theta):
 
 
 def one_chain(log_post, config):
-    return adaptive_mh(log_post, [config]).chains[0]
+    return adaptive_mh(log_post, **config).chains[0]
 
 
-def config_1d(seed=0, **kw):
+def run(init, proposal_cov, n_samples, n_burn, seed, support=None):
+    """adaptive_mh's arguments for one chain from init."""
+    return dict(inits=np.atleast_2d(init), proposal_cov=proposal_cov, n_samples=n_samples,
+                n_burn=n_burn, seeds=[seed], support=support)
+
+
+def config_1d(*seeds, **kw):
+    """adaptive_mh's arguments for one chain per seed, each from 0 in 1-D."""
     kw.setdefault("n_samples", 20000)
     kw.setdefault("n_burn", 4000)
-    return McmcConfig(init=np.zeros(1), initial_proposal_cov=np.eye(1),
-                      seed=seed, **kw)
+    return dict(inits=np.zeros((len(seeds), 1)), proposal_cov=np.eye(1),
+                seeds=list(seeds), **kw)
 
 
 def test_standard_normal_moments():
-    chain = one_chain(std_normal, config_1d(seed=1))
+    chain = one_chain(std_normal, config_1d(1))
     post = chain.post_burn[:, 0]
     assert abs(post.mean()) < 0.05
     assert abs(post.var() - 1.0) < 0.10
@@ -34,8 +41,7 @@ def test_correlated_gaussian():
     prec = np.linalg.inv(cov)
     chain = one_chain(
         lambda th: -0.5 * np.einsum("ki,ij,kj->k", th, prec, th),
-        McmcConfig(init=np.zeros(2), initial_proposal_cov=0.5 * np.eye(2),
-                   n_samples=20000, n_burn=4000, seed=2),
+        run(np.zeros(2), 0.5 * np.eye(2), n_samples=20000, n_burn=4000, seed=2),
     )
     corr = np.corrcoef(chain.post_burn.T)[0, 1]
     assert abs(corr + 0.7) < 0.05
@@ -43,43 +49,46 @@ def test_correlated_gaussian():
 
 
 def test_reproducible_bit_identical():
-    a = one_chain(std_normal, config_1d(seed=3))
-    b = one_chain(std_normal, config_1d(seed=3))
+    a = one_chain(std_normal, config_1d(3))
+    b = one_chain(std_normal, config_1d(3))
     np.testing.assert_array_equal(a.draws, b.draws)
     np.testing.assert_array_equal(a.log_posterior_values, b.log_posterior_values)
 
 
 def test_zero_proposal_scale_rejected():
     with pytest.raises(ValueError):
-        McmcConfig(init=np.zeros(1), initial_proposal_cov=np.zeros((1, 1)))
+        one_chain(std_normal, run(np.zeros(1), np.zeros((1, 1)), 20000, 4000, 0))
 
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        McmcConfig(init=np.zeros(1), initial_proposal_cov=np.eye(1),
-                   n_samples=100, n_burn=100)
+        one_chain(std_normal, run(np.zeros(1), np.eye(1), n_samples=100, n_burn=100, seed=0))
     with pytest.raises(ValueError):
-        McmcConfig(init=np.zeros(2), initial_proposal_cov=np.eye(1))
+        one_chain(std_normal, run(np.zeros(2), np.eye(1), 20000, 4000, 0))
+    with pytest.raises(ValueError, match="SPD"):
+        one_chain(std_normal, run(np.zeros(2), np.array([[1.0, 2.0], [2.0, 1.0]]),
+                                  20000, 4000, 0))
     with pytest.raises(ValueError, match="support"):
-        McmcConfig(init=np.zeros(1), initial_proposal_cov=np.eye(1),
-                   support=(np.array([1.0]), np.array([2.0])))
+        one_chain(std_normal, run(np.zeros(1), np.eye(1), 20000, 4000, 0,
+                                  support=(np.array([1.0]), np.array([2.0]))))
+    with pytest.raises(ValueError, match="seed"):
+        adaptive_mh(std_normal, **config_1d(0, 1) | {"seeds": [0]})
 
 
 def test_nonfinite_init_rejected():
     with pytest.raises(ValueError, match="finite"):
-        one_chain(lambda th: np.full(len(th), -np.inf), config_1d())
+        one_chain(lambda th: np.full(len(th), -np.inf), config_1d(0))
 
 
 def test_draws_stay_in_support():
     lo, hi = np.array([0.05]), np.array([5.0])
-    cfg = McmcConfig(init=np.ones(1), initial_proposal_cov=np.eye(1),
-                     n_samples=5000, n_burn=1000, seed=4, support=(lo, hi))
+    cfg = run(np.ones(1), np.eye(1), n_samples=5000, n_burn=1000, seed=4, support=(lo, hi))
     chain = one_chain(lambda th: np.zeros(len(th)), cfg)
     assert np.all(chain.draws >= lo) and np.all(chain.draws <= hi)
 
 
 def test_adaptation_frozen_after_burn_in():
-    chain = one_chain(std_normal, config_1d(seed=5))
+    chain = one_chain(std_normal, config_1d(5))
     assert max(step for step, _ in chain.scale_history) <= 4000
 
 
@@ -92,8 +101,7 @@ def test_double_well_matches_quadrature():
     edges = np.linspace(-3, 3, 25)
     probs = np.array([quad(dens, a, b)[0] / z for a, b in zip(edges, edges[1:])])
 
-    cfg = McmcConfig(init=np.zeros(1), initial_proposal_cov=np.eye(1),
-                     n_samples=100000, n_burn=10000, seed=6)
+    cfg = run(np.zeros(1), np.eye(1), n_samples=100000, n_burn=10000, seed=6)
     chain = one_chain(logp, cfg)
     counts, _ = np.histogram(chain.post_burn[:, 0], bins=edges)
     emp = counts / counts.sum()
@@ -104,20 +112,21 @@ def test_double_well_matches_quadrature():
 def _reference_chain(log_post, cfg):
     """Reference: one chain stepped alone with a one-row density, in the
     order of draws that the lockstep sampler keeps for each chain."""
-    d = cfg.init.size
-    rng = np.random.default_rng(cfg.seed)
-    cur, cur_lp = cfg.init.copy(), log_post(cfg.init[None])[0]
-    s, chol = 2.38 / np.sqrt(d), np.linalg.cholesky(cfg.initial_proposal_cov)
-    lo, hi = cfg.support
-    draws, acc = np.empty((cfg.n_samples, d)), np.zeros(cfg.n_samples, dtype=bool)
-    for t in range(cfg.n_samples):
+    init, n_samples = cfg["inits"][0], cfg["n_samples"]
+    d = init.size
+    rng = np.random.default_rng(cfg["seeds"][0])
+    cur, cur_lp = init.copy(), log_post(init[None])[0]
+    s, chol = 2.38 / np.sqrt(d), np.linalg.cholesky(cfg["proposal_cov"])
+    lo, hi = cfg["support"]
+    draws, acc = np.empty((n_samples, d)), np.zeros(n_samples, dtype=bool)
+    for t in range(n_samples):
         prop = cur + s * (chol @ rng.standard_normal(d))
         if (prop >= lo).all() and (prop <= hi).all():
             lp = log_post(prop[None])[0]
             if np.log(rng.random()) < lp - cur_lp:
                 cur, cur_lp, acc[t] = prop, lp, True
         draws[t] = cur
-        if t < cfg.n_burn and (t + 1) % 50 == 0:
+        if t < cfg["n_burn"] and (t + 1) % 50 == 0:
             s *= np.exp(acc[t - 49: t + 1].mean() - 0.234)
             if t + 1 >= 10 * d:
                 chol = np.linalg.cholesky(np.cov(draws[: t + 1].T, ddof=1) + 1e-8 * np.eye(d))
@@ -135,32 +144,26 @@ def test_lockstep_chains_equal_single_chain_runs():
         return -0.5 * np.einsum("kd,kd->k", th, th)
 
     box = (np.full(2, -0.8), np.full(2, 0.8))
-    cfgs = [McmcConfig(init=np.full(2, 0.15 * k), initial_proposal_cov=(1 + k) * np.eye(2),
-                       n_samples=600, n_burn=200, seed=20 + k, support=box)
-            for k in range(4)]
-    run = adaptive_mh(logp, cfgs)
-    assert run.draws.shape == (600, 4, 2)
+    inits = np.array([np.full(2, 0.15 * k) for k in range(4)])
+    lockstep = adaptive_mh(logp, inits, 2 * np.eye(2), n_samples=600, n_burn=200,
+                           seeds=[20 + k for k in range(4)], support=box)
+    assert lockstep.draws.shape == (600, 4, 2)
     assert sum(rows) - 4 < 4 * 600  # the initial call is not a proposal
-    for k, cfg in enumerate(cfgs):
-        alone, got = one_chain(logp, cfg), run.chains[k]
+    for k in range(4):
+        cfg = run(inits[k], 2 * np.eye(2), n_samples=600, n_burn=200, seed=20 + k, support=box)
+        alone, got = one_chain(logp, cfg), lockstep.chains[k]
         for name in ("draws", "log_posterior_values", "accepted"):
             assert getattr(got, name).tobytes() == getattr(alone, name).tobytes(), name
         assert got.scale_history == alone.scale_history
-        assert run.draws[:, k].tobytes() == alone.draws.tobytes()
+        assert lockstep.draws[:, k].tobytes() == alone.draws.tobytes()
         ref_draws, ref_acc = _reference_chain(logp, cfg)
         assert got.draws.tobytes() == ref_draws.tobytes()
         assert got.accepted.tobytes() == ref_acc.tobytes()
         assert 0 < got.accepted.sum() < 600
 
 
-def test_lockstep_chains_share_length():
-    cfgs = [config_1d(n_samples=200, n_burn=50), config_1d(n_samples=300, n_burn=50)]
-    with pytest.raises(ValueError, match="lockstep"):
-        adaptive_mh(std_normal, cfgs)
-
-
 def test_diagnostics_well_mixed():
-    chains = adaptive_mh(std_normal, [config_1d(seed=s) for s in range(4)]).chains
+    chains = adaptive_mh(std_normal, **config_1d(*range(4))).chains
     d = diagnostics(chains)
     assert d["rhat"][0] < 1.05
     assert d["ess"][0] > 100
@@ -168,7 +171,7 @@ def test_diagnostics_well_mixed():
 
 
 def test_diagnostics_frozen_chains_infinite_rhat():
-    base = one_chain(std_normal, config_1d(seed=7, n_samples=200, n_burn=50))
+    base = one_chain(std_normal, config_1d(7, n_samples=200, n_burn=50))
     frozen1 = base.__class__(
         draws=np.zeros_like(base.draws), log_posterior_values=base.log_posterior_values,
         accepted=np.zeros_like(base.accepted), scale_history=[], n_burn=50,
@@ -183,13 +186,13 @@ def test_diagnostics_frozen_chains_infinite_rhat():
 
 
 def test_diagnostics_needs_two_chains():
-    chain = one_chain(std_normal, config_1d(seed=8, n_samples=200, n_burn=50))
+    chain = one_chain(std_normal, config_1d(8, n_samples=200, n_burn=50))
     with pytest.raises(ValueError, match="2 chains"):
         diagnostics([chain])
 
 
 def test_chain_csv_roundtrip(tmp_path):
-    chain = one_chain(std_normal, config_1d(seed=9, n_samples=300, n_burn=100))
+    chain = one_chain(std_normal, config_1d(9, n_samples=300, n_burn=100))
     path = tmp_path / "chain.csv"
     chain.to_csv(path)
     lines = path.read_text().splitlines()
@@ -219,8 +222,7 @@ def _chain(draws, lps, acc, n_burn=0):
 def test_chain_csv_matches_per_row_writer_and_reads_back(tmp_path):
     rng = np.random.default_rng(3)
     mh = one_chain(lambda th: -0.5 * np.einsum("kd,kd->k", th, th),
-                   McmcConfig(init=np.ones(4), initial_proposal_cov=np.eye(4),
-                              n_samples=400, n_burn=100, seed=4))
+                   run(np.ones(4), np.eye(4), n_samples=400, n_burn=100, seed=4))
     awkward = np.array([[0.1, -0.0, 1e-300, 5.0], [1 / 3, 2.0**-1074, 1e17, -2.5e-8]])
     cases = [
         (mh, {}),
