@@ -99,7 +99,9 @@ def build_gp_cc(
 
     Per calibration case, theta_design_size LHS draws over the prior box are
     evaluated in one runner call; one GP is fit on the pooled rows, with one
-    kernel shared by the three standardized outputs.
+    kernel shared by the three standardized outputs. Its rows, one group of
+    theta_design_size per case in case-id order, are the one layout that
+    gp.SplitPredictor (built by LogPosterior at these cases) accepts.
     """
     if theta_design_size < 20:
         raise ValueError("theta_design_size must be >= 20")
@@ -140,20 +142,19 @@ def build_gp_md(
 class LogPosterior:
     """Callable log-posterior of theta for a fixed surrogate pair and data.
 
-    Discrepancy mean/variance at the calibration boundary conditions do not
-    depend on theta and are precomputed. So is every theta-free part of the
-    emulator prediction: GP_CC's inputs are [x, theta] (BC_DIM boundary
-    conditions first), so gp.SplitPredictor fixes the x columns at the
-    calibration cases and a call evaluates only the theta columns. The
-    Gaussian likelihood is evaluated in GP_CC's standardized output units,
-    with y_exp - delta - out_mean, sigma2_exp + sigma2_delta and the
-    normalizing constant folded once, at construction; the unfolded inputs
-    stay readable as attributes. A call evaluates K theta rows at once, so a
-    lockstep MH step over K chains is one call.
+    Discrepancy mean/variance at the calibration boundary conditions (zero
+    without pair.gp_md) do not depend on theta and are precomputed. So is
+    every theta-free part of the emulator prediction: GP_CC's inputs are
+    [x, theta] (BC_DIM boundary conditions first), so gp.SplitPredictor
+    fixes the x columns at the calibration cases and a call evaluates only
+    the theta columns. The Gaussian likelihood is evaluated in GP_CC's
+    standardized output units, with y_exp - delta - out_mean, sigma2_exp +
+    sigma2_delta and the normalizing constant folded once, at construction;
+    the unfolded inputs stay readable as attributes. A call evaluates K
+    theta rows at once, so a lockstep MH step over K chains is one call.
     """
 
-    def __init__(self, pair: SurrogatePair, cases, partition: Partition,
-                 mode: CalibrationMode, prior: PriorSpec):
+    def __init__(self, pair: SurrogatePair, cases, partition: Partition, prior: PriorSpec):
         cal_cases = _sorted_cases(cases, partition.calibration_ids)
         self.x_cal = np.array([c.x.as_array() for c in cal_cases])
         self.prior = prior
@@ -162,7 +163,7 @@ class LogPosterior:
         if np.any(self.sigma2_exp <= 0):
             raise ValueError("nonpositive measurement sigma in calibration set")
         self._gp_cc = gp.SplitPredictor(pair.gp_cc, self.x_cal)
-        if mode is CalibrationMode.WithDiscrepancy and pair.gp_md is not None:
+        if pair.gp_md is not None:
             self.delta, self.sigma2_delta = gp.predict(pair.gp_md, self.x_cal)
         else:
             self.delta = np.zeros_like(self.y_exp)
@@ -236,14 +237,13 @@ def calibrate(
     pair: SurrogatePair,
     cases,
     partition: Partition,
-    mode: CalibrationMode,
     prior: PriorSpec,
     n_samples: int,
     n_burn: int,
     n_chains: int,
     seed: int,
 ) -> CalibrationResult:
-    """Modular-Bayesian calibration in one mode with the surrogates held fixed.
+    """Modular-Bayesian calibration with fixed surrogates; delta iff pair.gp_md is given.
 
     Runs n_chains adaptive-MH chains, confined to the prior box and stepped
     in lockstep, so each MH step is one LogPosterior call over every chain's
@@ -256,7 +256,7 @@ def calibrate(
     """
     if n_chains < 2:
         raise ValueError("need at least 2 chains for diagnostics")
-    log_post = LogPosterior(pair, cases, partition, mode, prior)
+    log_post = LogPosterior(pair, cases, partition, prior)
     streams = np.random.SeedSequence(seed).generate_state(2 * n_chains)
     inits = np.ones((n_chains, THETA_DIM))
     for k in range(1, n_chains):

@@ -137,11 +137,13 @@ def _key_values(path):
 
 def read_partition_file(path) -> list[int]:
     """Parse the one-line ``calibration = id1,id2,...`` partition format."""
-    for _, key, val in _key_values(path):
+    entries = list(_key_values(path))
+    for _, key, _ in entries:
         if key != "calibration":
             raise ValueError(f"unexpected key in partition file: {key!r}")
-        return _ids(val)
-    raise ValueError("partition file has no 'calibration =' line")
+    if len(entries) != 1:
+        raise ValueError(f"partition file needs one 'calibration =' line, has {len(entries)}")
+    return _ids(entries[0][2])
 
 
 def load_config(path, out_override=None, seed_override=None) -> PipelineConfig:
@@ -276,7 +278,7 @@ def run_pipeline(config_path, out_override=None, seed_override=None, stages=None
 
     Without stages this is ``mbcal run``: calibrate, validate and export, plus
     screen and sobol when the config's run_screen and run_sobol ask for them.
-    Validate and export include the stages they read.
+    Validate and export also run calibrate and validate (export reads only chains).
 
     A stage is rebuilt only when one of its artifacts is missing or cut short;
     a GP refit or a chain resample first deletes every artifact made from the
@@ -417,7 +419,7 @@ def run_pipeline(config_path, out_override=None, seed_override=None, stages=None
             if stale(arts["chains"]):
                 drop(made[mode])  # so a stop before the last chain leaves none of the old set
                 result = calibrate(SurrogatePair(gp_cc=gp_cc(), gp_md=gp_md()), cases,
-                                   partition, mode, cfg.prior, cfg.n_samples, cfg.n_burn,
+                                   partition, cfg.prior, cfg.n_samples, cfg.n_burn,
                                    cfg.chains, cfg.seed)
                 chains = result.chains
                 for (rel, _), chain in zip(arts["chains"], chains):

@@ -61,17 +61,18 @@ class KernelConfig:
 
 @dataclass
 class GpModel:
-    """A trained GP: standardized training data plus per-output factorizations."""
+    """A trained GP: standardized training data plus one factorization per
+    kernel, the m outputs split evenly over the kernels (see blocks)."""
 
     x: np.ndarray                 # (n, d) standardized inputs
     y: np.ndarray                 # (n, m) standardized outputs
-    kernels: list[KernelConfig]   # one per output, repeated for a shared kernel
+    kernels: list[KernelConfig]   # one per fitted block
     in_lo: np.ndarray             # (d,) raw-input column minima
     in_span: np.ndarray           # (d,) raw-input column spans (>= tiny)
     out_mean: np.ndarray          # (m,)
     out_std: np.ndarray           # (m,)
-    chols: list[np.ndarray] = field(default_factory=list)    # lower Cholesky of K
-    alphas: list[np.ndarray] = field(default_factory=list)   # K^{-1} y per output
+    chols: list[np.ndarray] = field(default_factory=list)  # lower Cholesky of K, per kernel
+    alpha: np.ndarray | None = None  # (n, m) K^{-1} y, each column under its block's kernel
     lml: np.ndarray | None = None  # log marginal likelihood per fitted block
     # per fitted block, each restart's final "lml", "nfev" and "white_noise"
     # flag (see fit) as lists; recorded by fit, not by load_model
@@ -88,6 +89,10 @@ class GpModel:
     @property
     def m(self) -> int:
         return self.y.shape[1]
+
+    def blocks(self) -> list[np.ndarray]:
+        """The output columns of each kernel."""
+        return np.split(np.arange(self.m), len(self.kernels))
 
     def raw_inputs(self) -> np.ndarray:
         return self.x * self.in_span + self.in_lo
@@ -130,17 +135,13 @@ def _chol_with_escalation(kc: KernelConfig, x: np.ndarray):
 
 
 def _factorize(model: GpModel) -> GpModel:
-    """Fill model.chols and model.alphas, one per output, factoring each
-    distinct kernel once; a kernel whose matrix needs a larger nugget to
-    factorize is stored with that nugget."""
-    model.chols, model.alphas, factors = [], [], {}
-    for j, kc in enumerate(model.kernels):
-        key = (kc.lengthscales.tobytes(), kc.signal_variance, kc.nugget)
-        if key not in factors:
-            factors[key] = _chol_with_escalation(kc, model.x)
-        low, model.kernels[j] = factors[key]
+    """Fill model.chols, one per kernel, and model.alpha; a kernel whose
+    matrix needs a larger nugget to factorize is stored with that nugget."""
+    model.chols, model.alpha = [], np.empty_like(model.y)
+    for j, cols in enumerate(model.blocks()):
+        low, model.kernels[j] = _chol_with_escalation(model.kernels[j], model.x)
         model.chols.append(low)
-        model.alphas.append(cho_solve((low, True), model.y[:, j]))
+        model.alpha[:, cols] = cho_solve((low, True), model.y[:, cols])
     return model
 
 
@@ -258,7 +259,7 @@ def fit(
         out_mean=out_mean, out_std=out_std,
     )
     lmls, record = [], []
-    for cols in [list(range(y.shape[1]))] if shared else [[j] for j in range(y.shape[1])]:
+    for cols in np.split(np.arange(y.shape[1]), 1 if shared else y.shape[1]):
         j, yj = cols[0], y[:, cols]
         starts = lhs_sample(restarts, opt_bounds, seed=seed * 1000003 + j)
         # bias the first start toward moderate lengthscales on [0,1] inputs
@@ -295,7 +296,7 @@ def fit(
         if lml_and_grad(p_clamp, x, yj)[0] >= lml_best - 1e-7 * (1 + abs(lml_best)):
             p = p_clamp
         kc = KernelConfig(np.exp(p[:d]), float(np.exp(p[d])), float(np.exp(p[d + 1])))
-        model.kernels.extend([kc] * len(cols))
+        model.kernels.append(kc)
         lmls.append(-best.fun)
     model.lml = np.array(lmls)
     model.restarts = record
@@ -303,7 +304,7 @@ def fit(
 
 
 def build_model(inputs, outputs, kernels) -> GpModel:
-    """Assemble a GpModel with fixed hyperparameters (no optimization)."""
+    """Assemble a GpModel with fixed hyperparameters, one kernel per output block."""
     inputs, outputs = _training_arrays(inputs, outputs)
     x, y, in_lo, in_span, out_mean, out_std = _standardize(inputs, outputs)
     return _factorize(GpModel(
@@ -328,94 +329,68 @@ def predict(model: GpModel, points: np.ndarray):
     q = model.standardize_inputs(points)
     mean = np.empty((q.shape[0], model.m))
     var = np.empty_like(mean)
-    for j, kc in enumerate(model.kernels):
+    for kc, low, cols in zip(model.kernels, model.chols, model.blocks()):
         kstar = kernel_matrix(kc, q, model.x)
-        mu = kstar @ model.alphas[j]
-        v = solve_triangular(model.chols[j], kstar.T, lower=True)
+        mu = kstar @ model.alpha[:, cols]
+        v = solve_triangular(low, kstar.T, lower=True)
         s2 = kc.signal_variance - np.sum(v * v, axis=0)
         if np.any(s2 < -1e-8):
             raise FloatingPointError("predictive variance significantly negative")
         s2 = np.clip(s2, 0.0, None)
-        mean[:, j] = mu * model.out_std[j] + model.out_mean[j]
-        var[:, j] = s2 * model.out_std[j] ** 2
+        mean[:, cols] = mu * model.out_std[cols] + model.out_mean[cols]
+        var[:, cols] = s2[:, None] * model.out_std[cols] ** 2
     return mean, var
 
 
-def _lead_groups(lead_x: np.ndarray):
-    """Training rows grouped by their lead row, as sub-groups of one size.
-
-    Returns (rows, lead): rows (G, s) holds the row indices of each
-    sub-group, padded with -1, and lead (G, c) its shared lead row. s is the
-    largest sub-group size whose padded layout keeps G * s <= 2n, so a group
-    larger than s is split into sub-groups that share its lead row.
-    """
-    n = lead_x.shape[0]
-    uniq, inverse = np.unique(lead_x, axis=0, return_inverse=True)
-    inverse = inverse.ravel()
-    counts = np.bincount(inverse)
-    s = next(s for s in range(int(counts.max()), 0, -1)
-             if int((-(-counts // s) * s).sum()) <= 2 * n)
-    rows, owner = [], []
-    for g, members in enumerate(np.split(np.argsort(inverse, kind="stable"),
-                                         np.cumsum(counts)[:-1])):
-        for chunk in np.array_split(members, -(-len(members) // s)):
-            rows.append(np.pad(chunk, (0, s - len(chunk)), constant_values=-1))
-            owner.append(g)
-    return np.array(rows), uniq[owner]
-
-
 class SplitPredictor:
-    """predict at rows [lead_i, tail]: fixed lead rows, K tails per call,
-    for a model whose outputs share one kernel (GP_CC).
+    """predict at rows [lead_g, tail] of GP_CC as build_gp_cc lays it out:
+    one kernel shared by every output, and n rows in G = len(lead)
+    consecutive groups of s = n / G rows, group g at the standardized
+    lead[g]. Any other model or layout raises ValueError.
 
     The SE kernel is a product over input columns, so the cross-covariance
-    with training row a factors as K_lead[i, a] * k_tail(tail)[a]. Training
-    rows that share a lead row form a group (GP_CC: one per calibration
-    case), so K_lead[i, a] = K_u[i, group(a)] and L^-1 k*_i = V K_u[i]^T
-    with V = L^-1 U, where U (n x G) holds k_tail on each group's rows.
-    K_u, the scaled tail columns and the columns of L^-1, stored sub-group
-    by sub-group with zeros for padding, are computed once. Each stored
-    column carries its row's alphas as m extra entries, so the stacked GEMM
+    of lead g with row a of group h is K_u[g, h] * k_tail(tail)[a], with K_u
+    the (G, G) kernel between the leads, and L^-1 k*_g = V K_u[g]^T with
+    V = L^-1 U, where U (n x G) holds k_tail on each group's rows. K_u, the
+    scaled tail columns and the columns of L^-1, each with its row's m
+    alphas appended, are stored once, group by group, so the stacked GEMM
     that gives V for all K tails (K n^2) also gives the per-group sums of
-    k_tail * alpha_j, and one K_u [V | A] over K (n + m) columns (q G K n)
+    k_tail * alpha_j, and one K_u [V | A] over K (n + m) columns (G^2 K n)
     gives both the variance's z = K_u V, which every output shares, and the
     standardized means.
     """
 
     def __init__(self, model: GpModel, lead: np.ndarray):
         lead = np.atleast_2d(np.asarray(lead, dtype=float))
-        c = lead.shape[1]
+        g, c = lead.shape
         if not 0 < c < model.d:
             raise ValueError(f"lead must have 1..{model.d - 1} columns, got {c}")
-        if any(low is not model.chols[0] for low in model.chols):
+        if len(model.kernels) != 1:
             raise ValueError("SplitPredictor needs one kernel shared by every output")
+        n, s = model.n, model.n // g
         q = (lead - model.in_lo[:c]) / model.in_span[:c]
-        rows, lead_u = _lead_groups(model.x[:, :c])
-        pad = rows < 0
-        rows_or_0 = np.where(pad, 0, rows)
-        kc, n = model.kernels[0], model.n
-        self.model, self.n = model, n
-        self.sv = kc.signal_variance
+        if n != g * s or not np.array_equal(model.x[:, :c], np.repeat(q, s, axis=0)):
+            raise ValueError("SplitPredictor needs the training rows in len(lead) "
+                             "consecutive equal groups, group g at lead[g]")
+        kc = model.kernels[0]
+        self.model, self.n, self.sv = model, n, kc.signal_variance
         self.k_u = kc.signal_variance * np.exp(
-            -0.5 * _sq_dists(q, lead_u, kc.lengthscales[:c]))         # (q, G)
+            -0.5 * _sq_dists(q, q, kc.lengthscales[:c]))              # (G, G)
         tail_ls = kc.lengthscales[c:]
         # scaled tail columns, one (G, s) plane per column, so a call's
         # differences run over contiguous planes
         self.x_tail = np.ascontiguousarray(
-            np.moveaxis(model.x[rows_or_0, c:] / tail_ls, 2, 0))      # (d-c, G, s)
+            (model.x[:, c:] / tail_ls).T).reshape(-1, g, s)            # (d-c, G, s)
         # a raw tail t maps to the scaled tail columns as t * scale - shift
         self.scale = 1.0 / (model.in_span[c:] * tail_ls)
         self.shift = model.in_lo[c:] * self.scale
-        # linv[g, k] = [column rows[g, k] of L^-1 | the alphas at that row],
-        # zero for padding
-        table = np.hstack([solve_triangular(model.chols[0], np.eye(n), lower=True,
-                                            check_finite=False).T,
-                           np.column_stack(model.alphas)])
-        self.linv = table[rows_or_0]                                   # (G, s, n+m)
-        self.linv[pad] = 0.0
+        # linv[g, k] = [column k of group g's rows of L^-1 | the alphas at that row]
+        self.linv = np.hstack([solve_triangular(model.chols[0], np.eye(n), lower=True,
+                                                check_finite=False).T,
+                               model.alpha]).reshape(g, s, n + model.m)
 
     def standardized(self, tails: np.ndarray):
-        """Standardized posterior means (K, m, q) and the variances (K, q) that
+        """Standardized posterior means (K, m, G) and the variances (K, G) that
         every output shares, at a float (K, d - c) array of tails."""
         ts = tails * self.scale - self.shift                              # (K, d-c)
         diff = self.x_tail[:, :, None, :] - ts.T[:, None, :, None]        # (d-c, G, K, s)
@@ -425,9 +400,9 @@ class SplitPredictor:
         np.exp(k_tail, out=k_tail)                                        # (G, K, s)
         va = np.matmul(k_tail, self.linv)                                 # (G, K, n+m)
         g, k, w = va.shape
-        za = (self.k_u @ va.reshape(g, k * w)).reshape(-1, k, w)          # (q, K, n+m)
+        za = (self.k_u @ va.reshape(g, k * w)).reshape(g, k, w)           # (G, K, n+m)
         z = za[:, :, :self.n]
-        s2 = self.sv - np.einsum("qkn,qkn->kq", z, z)
+        s2 = self.sv - np.einsum("gkn,gkn->kg", z, z)
         if s2.min() < -1e-8:
             raise FloatingPointError("predictive variance significantly negative")
         np.maximum(s2, 0.0, out=s2)
@@ -437,17 +412,18 @@ class SplitPredictor:
 def loo_cv(model: GpModel) -> list[dict]:
     """Exact leave-one-out metrics per output from the cached factorization.
 
-    Uses mu_i = y_i - alpha_i / Kinv_ii (no refits). R^2 is NaN (with a
-    warning) when the output column is constant.
+    Uses mu_i = y_i - alpha_i / Kinv_ii (no refits), with diag(K^-1) once per
+    kernel. R^2 is NaN (with a warning) when the output column is constant.
     """
     if model.n < 3:
         raise ValueError("need at least 3 training points for LOO")
+    resid_std = np.empty_like(model.alpha)  # y_i - mu_{-i} on standardized scale
+    for low, cols in zip(model.chols, model.blocks()):
+        diag = np.sum(solve_triangular(low, np.eye(model.n), lower=True) ** 2, axis=0)
+        resid_std[:, cols] = model.alpha[:, cols] / diag[:, None]
     metrics = []
-    for j, low in enumerate(model.chols):
-        if j == 0 or low is not model.chols[j - 1]:   # diag(K^-1), once per factor
-            diag = np.sum(solve_triangular(low, np.eye(model.n), lower=True) ** 2, axis=0)
-        resid_std = model.alphas[j] / diag  # y_i - mu_{-i} on standardized scale
-        resid = resid_std * model.out_std[j]
+    for j in range(model.m):
+        resid = resid_std[:, j] * model.out_std[j]
         yraw = model.y[:, j] * model.out_std[j] + model.out_mean[j]
         sse = float(np.sum(resid**2))
         sst = float(np.sum((yraw - yraw.mean()) ** 2))
@@ -488,7 +464,7 @@ def save_model(model: GpModel, path, extra: dict | None = None) -> None:
                 "signal_variance": kc.signal_variance,
                 "nugget": kc.nugget,
             }
-            for kc in model.kernels
+            for kc, cols in zip(model.kernels, model.blocks()) for _ in cols
         ],
         "lml": _arr(model.lml) if model.lml is not None else None,
         **({"restarts": model.restarts} if model.restarts is not None else {}),
@@ -498,16 +474,15 @@ def save_model(model: GpModel, path, extra: dict | None = None) -> None:
         json.dump(doc, fh)
 
 
-def load_model(source) -> GpModel:
-    """Rebuild a model from a save_model file, or from its already parsed
-    JSON document (a dict) when the caller has read it."""
-    if isinstance(source, dict):
-        doc = source
-    else:
-        with open(source) as fh:
-            doc = json.load(fh)
+def load_model(doc: dict) -> GpModel:
+    """Rebuild a model from the parsed JSON document of a save_model file.
+    The file holds one kernel per output, so m equal entries are one shared
+    kernel."""
     if doc.get("format") != "mbcal-gp-1":
         raise ValueError("unrecognized GP model file")
+    entries = doc["kernels"]
+    if all(k == entries[0] for k in entries):
+        entries = entries[:1]
     return _factorize(GpModel(
         x=np.array(doc["x"], dtype=float),
         y=np.array(doc["y"], dtype=float),
@@ -517,7 +492,7 @@ def load_model(source) -> GpModel:
                 k["signal_variance"],
                 k["nugget"],
             )
-            for k in doc["kernels"]
+            for k in entries
         ],
         in_lo=np.array(doc["in_lo"], dtype=float),
         in_span=np.array(doc["in_span"], dtype=float),

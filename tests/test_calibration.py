@@ -39,6 +39,11 @@ def pair(setup):
     return SurrogatePair(gp_cc=gp_cc, gp_md=gp_md)
 
 
+def _pair_for(pair, mode):
+    """The surrogates a calibration mode uses: GP_MD only with discrepancy."""
+    return pair if mode is CalibrationMode.WithDiscrepancy else SurrogatePair(gp_cc=pair.gp_cc)
+
+
 def test_gp_cc_shape(setup, pair):
     cases, part = setup
     assert pair.gp_cc.n == 10 * 20
@@ -149,7 +154,7 @@ def test_disjointness_enforced(setup, pair):
 
 def test_log_posterior_outside_prior(setup, pair):
     cases, part = setup
-    lp = LogPosterior(pair, cases, part, CalibrationMode.WithDiscrepancy, PriorSpec())
+    lp = LogPosterior(pair, cases, part, PriorSpec())
     assert lp(np.array([[6.0, 1, 1, 1]]))[0] == -np.inf
     assert np.isfinite(lp(np.ones((1, 4)))[0])
 
@@ -158,7 +163,7 @@ def test_log_posterior_gaussian_closed_form(setup, pair):
     # single case, single output, zero residual: the Gaussian log-density
     # term reduces to -log(2 pi v)/2 per observation
     cases, part = setup
-    lp = LogPosterior(pair, cases, part, CalibrationMode.NoDiscrepancy, PriorSpec())
+    lp = LogPosterior(SurrogatePair(gp_cc=pair.gp_cc), cases, part, PriorSpec())
     theta = np.ones(4)
     pts = np.hstack([lp.x_cal, np.tile(theta, (lp.x_cal.shape[0], 1))])
     mean, s2_code = gp.predict(pair.gp_cc, pts)
@@ -175,7 +180,7 @@ def test_factored_log_posterior_matches_dense_predict(setup, pair, mode):
     # ~2e3 in the box), so the 1e-10 bound is absolute up to |lp| = 1 and
     # relative beyond.
     cases, part = setup
-    lp = LogPosterior(pair, cases, part, mode, PriorSpec())
+    lp = LogPosterior(_pair_for(pair, mode), cases, part, PriorSpec())
     model = pair.gp_cc
     split = gp.SplitPredictor(model, lp.x_cal)
     thetas = lhs_sample(200, PriorSpec().ranges, seed=5)
@@ -196,11 +201,11 @@ def test_factored_log_posterior_matches_dense_predict(setup, pair, mode):
         assert lp(np.array([outside]))[0] == -np.inf
 
 
-def _dense_log_posterior(pair, lp, mode):
+def _dense_log_posterior(pair, lp):
     """Reference density of (K, 4) rows: every calibration row [x_i, theta]
     through gp.predict, one theta row at a time."""
     prior = lp.prior
-    if mode is CalibrationMode.WithDiscrepancy:
+    if pair.gp_md is not None:
         delta, sigma2_delta = gp.predict(pair.gp_md, lp.x_cal)
     else:
         delta, sigma2_delta = 0.0, 0.0
@@ -223,7 +228,8 @@ def test_batched_log_posterior_rows_match_single_rows(setup, pair, mode):
     # the dense reference; rows outside the box or holding NaN are -inf and
     # leave the other rows' values alone
     cases, part = setup
-    lp = LogPosterior(pair, cases, part, mode, PriorSpec())
+    mode_pair = _pair_for(pair, mode)
+    lp = LogPosterior(mode_pair, cases, part, PriorSpec())
     thetas = lhs_sample(40, PriorSpec().ranges, seed=13)
     bad = [3, 17, 25, 39]
     thetas[3, 0], thetas[17, 3], thetas[25, 1], thetas[39] = 5.01, 0.04, np.nan, np.nan
@@ -232,7 +238,7 @@ def test_batched_log_posterior_rows_match_single_rows(setup, pair, mode):
     assert np.all(batch[bad] == -np.inf) and np.all(single[bad] == -np.inf)
     good = np.setdiff1d(np.arange(len(thetas)), bad)
     np.testing.assert_allclose(batch[good], single[good], rtol=1e-10, atol=0)
-    np.testing.assert_allclose(batch[good], _dense_log_posterior(pair, lp, mode)(thetas[good]),
+    np.testing.assert_allclose(batch[good], _dense_log_posterior(mode_pair, lp)(thetas[good]),
                                rtol=1e-10, atol=0)
     assert np.all(lp(thetas[bad]) == -np.inf)
 
@@ -242,9 +248,10 @@ def test_fused_log_posterior_keeps_mh_chain(setup, pair, mode):
     # the folded, theta-factored density must steer adaptive MH exactly as a
     # dense gp.predict density does: same draws, same accept flags
     cases, part = setup
-    lp = LogPosterior(pair, cases, part, mode, PriorSpec())
+    mode_pair = _pair_for(pair, mode)
+    lp = LogPosterior(mode_pair, cases, part, PriorSpec())
     prior = PriorSpec()
-    dense = _dense_log_posterior(pair, lp, mode)
+    dense = _dense_log_posterior(mode_pair, lp)
     fused, ref = (adaptive_mh(f, np.ones((1, 4)), np.eye(4) * 0.06, n_samples=500,
                               n_burn=200, seeds=[12],
                               support=(np.full(4, prior.lo), np.full(4, prior.hi))).chains[0]
@@ -257,19 +264,20 @@ def test_fused_log_posterior_keeps_mh_chain(setup, pair, mode):
 
 
 def test_mode_consistency_zero_discrepancy(setup, pair):
+    # a pair without GP_MD is the no-discrepancy density: delta and its
+    # variance are zero, and only the GP_MD moves the density
     cases, part = setup
-    lp_no = LogPosterior(pair, cases, part, CalibrationMode.NoDiscrepancy, PriorSpec())
-
-    # with-discrepancy mode without a GP_MD: delta and its variance are zero
-    lp_with = LogPosterior(SurrogatePair(gp_cc=pair.gp_cc), cases, part,
-                           CalibrationMode.WithDiscrepancy, PriorSpec())
+    lp_no = LogPosterior(SurrogatePair(gp_cc=pair.gp_cc), cases, part, PriorSpec())
+    lp_with = LogPosterior(pair, cases, part, PriorSpec())
+    assert not lp_no.delta.any() and not lp_no.sigma2_delta.any()
+    assert lp_with.delta.any() and lp_with.sigma2_delta.all()
     for theta in (np.ones(4), np.array([1.5, 0.7, 2.0, 0.3])):
-        assert abs(lp_with(theta[None])[0] - lp_no(theta[None])[0]) < 1e-12
+        assert lp_with(theta[None])[0] != lp_no(theta[None])[0]
 
 
 def test_log_posterior_finite_on_prior_box(setup, pair):
     cases, part = setup
-    lp = LogPosterior(pair, cases, part, CalibrationMode.WithDiscrepancy, PriorSpec())
+    lp = LogPosterior(pair, cases, part, PriorSpec())
     sweep = lhs_sample(500, [(0.06, 4.99)] * 4, seed=8)
     vals = lp(sweep)
     assert np.all(np.isfinite(vals))
@@ -277,12 +285,13 @@ def test_log_posterior_finite_on_prior_box(setup, pair):
 
 def test_variance_inflation_flattens_posterior(setup, pair):
     cases, part = setup
-    lp = LogPosterior(pair, cases, part, CalibrationMode.NoDiscrepancy, PriorSpec())
+    no_md = SurrogatePair(gp_cc=pair.gp_cc)
+    lp = LogPosterior(no_md, cases, part, PriorSpec())
     a, b = np.ones((1, 4)), np.array([[2.0, 0.5, 1.5, 0.8]])
     base_gap = abs(lp(a)[0] - lp(b)[0])
     # sigma_exp 4x larger: sigma2_exp 16x larger
     noisy = [replace(c, meas=replace(c.meas, sigma_exp=4 * c.meas.sigma_exp)) for c in cases]
-    lp = LogPosterior(pair, noisy, part, CalibrationMode.NoDiscrepancy, PriorSpec())
+    lp = LogPosterior(no_md, noisy, part, PriorSpec())
     inflated_gap = abs(lp(a)[0] - lp(b)[0])
     assert inflated_gap < base_gap
 
@@ -290,16 +299,15 @@ def test_variance_inflation_flattens_posterior(setup, pair):
 def test_calibrate_needs_two_chains(setup, pair):
     cases, part = setup
     with pytest.raises(ValueError, match="chains"):
-        calibrate(pair, cases, part, CalibrationMode.NoDiscrepancy, PriorSpec(),
+        calibrate(SurrogatePair(gp_cc=pair.gp_cc), cases, part, PriorSpec(),
                   n_samples=100, n_burn=50, n_chains=1, seed=0)
 
 
 def test_calibrate_posterior_structure(setup, pair):
     cases, part = setup
     mc = dict(n_samples=4000, n_burn=1000, n_chains=2, seed=3)
-    res_w = calibrate(pair, cases, part, CalibrationMode.WithDiscrepancy, PriorSpec(), **mc)
-    res_n = calibrate(SurrogatePair(gp_cc=pair.gp_cc), cases, part,
-                      CalibrationMode.NoDiscrepancy, PriorSpec(), **mc)
+    res_w = calibrate(pair, cases, part, PriorSpec(), **mc)
+    res_n = calibrate(SurrogatePair(gp_cc=pair.gp_cc), cases, part, PriorSpec(), **mc)
     assert res_w.correlation[0, 1] < -0.2
     assert res_n.correlation[0, 1] < -0.2
     narrower = sum(

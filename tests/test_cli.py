@@ -109,6 +109,9 @@ def test_read_partition_file_bad_key(tmp_path):
     part.write_text("validation = 1,2\n")
     with pytest.raises(ValueError, match="unexpected key"):
         read_partition_file(part)
+    part.write_text("calibration = 1,2\ncalibration = 3,4\n")
+    with pytest.raises(ValueError, match="one 'calibration =' line, has 2"):
+        read_partition_file(part)
 
 
 def test_load_config_validation(tmp_path, dataset):

@@ -208,7 +208,7 @@ def test_serialization_roundtrip(tmp_path):
     model = gp.fit(x, y, seed=7)
     path = tmp_path / "model.json"
     gp.save_model(model, path)
-    loaded = gp.load_model(path)
+    loaded = gp.load_model(json.loads(path.read_text()))
     q = np.random.default_rng(8).random((9, 2))
     m1, v1 = gp.predict(model, q)
     m2, v2 = gp.predict(loaded, q)
@@ -223,8 +223,8 @@ def test_load_model_from_parsed_document(tmp_path):
     gp.save_model(model, path, {"note": "extra keys are ignored"})
     with open(path) as fh:
         doc = json.load(fh)
-    from_doc, from_path = gp.load_model(doc), gp.load_model(path)
-    for a, b in zip(from_doc.chols, from_path.chols):
+    loaded = gp.load_model(doc)
+    for a, b in zip(model.chols, loaded.chols):
         np.testing.assert_array_equal(a, b)
 
 
@@ -241,9 +241,9 @@ def test_fit_records_restarts_and_save_model_writes_them(tmp_path):
     for path in paths:
         gp.save_model(gp.fit(x, y, restarts=4, seed=5), path)
     assert paths[0].read_bytes() == paths[1].read_bytes()
-    with open(paths[0]) as fh:
-        assert json.load(fh)["restarts"] == model.restarts
-    loaded = gp.load_model(paths[0])
+    doc = json.loads(paths[0].read_text())
+    assert doc["restarts"] == model.restarts
+    loaded = gp.load_model(doc)
     assert loaded.restarts is None
     np.testing.assert_array_equal(loaded.lml, model.lml)
 
@@ -361,40 +361,49 @@ SELFCHECK_GP_CC_KERNEL = gp.KernelConfig(
     np.array([1.08, 0.95, 1.77, 0.60, 0.31, 0.72, 0.71, 1.38]), 0.80, 1e-8)
 
 
-def _lead_tail_model(sizes, seed, kernels=(SELFCHECK_GP_CC_KERNEL,) * 3):
-    """A GP_CC-shaped model: groups of rows sharing a boundary-condition
-    (lead) row, with sizes[g] theta (tail) rows each, in shuffled row order,
-    and by default one kernel shared by the three outputs as build_gp_cc fits."""
+def _lead_tail_model(sizes, seed, kernels=(SELFCHECK_GP_CC_KERNEL,)):
+    """A GP_CC-shaped model as build_gp_cc lays it out: consecutive groups of
+    rows sharing a boundary-condition (lead) row, with sizes[g] theta (tail)
+    rows each, and by default one kernel shared by the three outputs."""
     rng = np.random.default_rng(seed)
     lead_rows = rng.random((len(sizes), 4))
     n = int(np.sum(sizes))
     x = np.hstack([np.repeat(lead_rows, sizes, axis=0),
                    lhs_sample(n, [(0.05, 5.0)] * 4, seed=seed)])
-    x = x[rng.permutation(n)]
     return gp.build_model(x, code_model_arrays(x[:, :4], x[:, 4:]), kernels), lead_rows
 
 
-@pytest.mark.parametrize("sizes, query", [
-    ([25] * 20, "training"),        # GP_CC as built: one group per case
-    ([20, 23, 25], "training"),     # unequal groups, padded to one size
-    ([1] * 120, "training"),        # all-distinct lead rows
-    ([25] * 8, "new"),              # query lead rows that are not training rows
-    ([60] + [1] * 40, "training"),  # a group larger than the padded layout allows
-])
-def test_split_predictor_matches_predict(sizes, query):
+@pytest.mark.parametrize("sizes", [[25] * 20, [30] * 8])  # selfcheck's and two_modes' GP_CC
+def test_split_predictor_matches_predict(sizes):
     model, lead_rows = _lead_tail_model(sizes, seed=len(sizes))
-    query_rows = (np.random.default_rng(99).random((12, 4)) if query == "new"
-                  else lead_rows[:20])
-    split = gp.SplitPredictor(model, query_rows)
-    assert split.linv.size <= 2 * model.n * (model.n + model.m)
+    split = gp.SplitPredictor(model, lead_rows)
+    assert split.k_u.shape == (len(sizes), len(sizes))
+    assert split.linv.shape == (len(sizes), sizes[0], model.n + model.m)
     tails = lhs_sample(25, [(0.05, 5.0)] * 4, seed=7)
     m2, v2 = split.standardized(tails)  # every tail in one call
     for tail, m2_k, v2_k in zip(tails, m2, v2):
-        pts = np.hstack([query_rows, np.tile(tail, (len(query_rows), 1))])
+        pts = np.hstack([lead_rows, np.tile(tail, (len(lead_rows), 1))])
         mean, var = gp.predict(model, pts)
         np.testing.assert_allclose(m2_k.T * model.out_std + model.out_mean, mean,
                                    rtol=0, atol=1e-12)
         np.testing.assert_allclose(v2_k[:, None] * model.out_std**2, var, rtol=0, atol=1e-12)
+
+
+def test_split_predictor_refuses_other_row_layouts():
+    # only consecutive equal groups, in the order of the leads, are accepted
+    model, lead_rows = _lead_tail_model([25] * 4, seed=4)
+    gp.SplitPredictor(model, lead_rows)
+    raw = model.raw_inputs()
+    shuffled = gp.build_model(raw[np.random.default_rng(0).permutation(model.n)],
+                              code_model_arrays(raw[:, :4], raw[:, 4:]),
+                              model.kernels)
+    refused = [(shuffled, lead_rows), (model, lead_rows[::-1]), (model, lead_rows[:3])]
+    for sizes in ([20, 23, 25], [24, 26]):
+        unequal, leads = _lead_tail_model(sizes, seed=5)
+        refused.append((unequal, leads))
+    for refused_model, leads in refused:
+        with pytest.raises(ValueError, match="consecutive equal groups"):
+            gp.SplitPredictor(refused_model, leads)
 
 
 def test_split_predictor_rejects_per_output_kernels():
@@ -406,14 +415,21 @@ def test_split_predictor_rejects_per_output_kernels():
 
 
 def test_factorize_shares_one_cholesky_per_distinct_kernel(tmp_path):
+    # a shared model has one kernel and one factor; its file repeats the
+    # kernel once per output, and the reloaded model is the same model
     model, _ = _lead_tail_model([25] * 4, seed=4)
+    assert len(model.kernels) == len(model.chols) == 1
+    assert model.alpha.shape == (model.n, model.m)
+    np.testing.assert_array_equal(model.alpha, cho_solve((model.chols[0], True), model.y))
     path = tmp_path / "gp_cc.json"
     gp.save_model(model, path)
-    loaded = gp.load_model(path)
-    assert loaded.chols[0] is loaded.chols[1] is loaded.chols[2]
-    for j in range(3):
-        np.testing.assert_array_equal(
-            loaded.alphas[j], cho_solve((loaded.chols[0], True), loaded.y[:, j]))
+    doc = json.loads(path.read_text())
+    assert len(doc["kernels"]) == model.m
+    assert all(k == doc["kernels"][0] for k in doc["kernels"])
+    loaded = gp.load_model(doc)
+    assert len(loaded.kernels) == len(loaded.chols) == 1
+    np.testing.assert_array_equal(loaded.chols[0], model.chols[0])
+    np.testing.assert_array_equal(loaded.alpha, model.alpha)
     q = np.random.default_rng(3).random((7, 8))
     for a, b in zip(gp.predict(model, q), gp.predict(loaded, q)):
         np.testing.assert_array_equal(a, b)
