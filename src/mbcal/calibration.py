@@ -204,18 +204,18 @@ class LogPosterior:
 
 @dataclass
 class CalibrationResult:
-    chains: list[PosteriorChain]
+    chain: PosteriorChain    # the run's K chains
     diagnostics: dict
     summary: dict            # per-parameter stats over pooled post-burn draws
     correlation: np.ndarray  # (4, 4)
     converged: bool
 
 
-def summarize(chains: list[PosteriorChain]) -> CalibrationResult:
+def summarize(chain: PosteriorChain) -> CalibrationResult:
     """Diagnostics and pooled post-burn-in statistics of finished chains.
     Converged means every R-hat < 1.1."""
-    diag = diagnostics(chains)
-    pooled = np.concatenate([c.post_burn for c in chains])
+    diag = diagnostics(chain)
+    pooled = chain.pooled
     summary = {}
     for j, name in enumerate(PARAMETER_NAMES):
         col = pooled[:, j]
@@ -228,7 +228,7 @@ def summarize(chains: list[PosteriorChain]) -> CalibrationResult:
             "p97.5": float(p[2]),
         }
     return CalibrationResult(
-        chains=chains, diagnostics=diag, summary=summary,
+        chain=chain, diagnostics=diag, summary=summary,
         correlation=np.corrcoef(pooled.T), converged=bool(np.all(diag["rhat"] < 1.1)),
     )
 
@@ -263,10 +263,10 @@ def calibrate(
         inits[k] += 0.1 * np.random.default_rng(int(streams[2 * k])).standard_normal(THETA_DIM)
     box = (np.full(THETA_DIM, prior.lo), np.full(THETA_DIM, prior.hi))
     proposal_cov = np.eye(THETA_DIM) * (0.05 * (prior.hi - prior.lo)) ** 2
-    chains = adaptive_mh(log_post, np.clip(inits, *box), proposal_cov, n_samples, n_burn,
-                         [int(s) for s in streams[1::2]], support=box).chains
+    chain = adaptive_mh(log_post, np.clip(inits, *box), proposal_cov, n_samples, n_burn,
+                        [int(s) for s in streams[1::2]], support=box)
 
-    result = summarize(chains)
+    result = summarize(chain)
     if not result.converged:
         warnings.warn(
             f"MCMC not converged: max R-hat = {np.max(result.diagnostics['rhat']):.3f}"

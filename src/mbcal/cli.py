@@ -51,6 +51,7 @@ from .synthbench import SynthConfig, code_model_arrays, generate_dataset
 
 SCREEN_NAMES = PARAMETER_NAMES + ("D1", "D2", "D3", "D4")
 SCREEN_RANGE = (0.0, 5.0)
+MARGINAL_BINS = 40  # histogram bins per parameter in posterior_marginals.csv
 
 
 def _parse_bool(v: str) -> bool:
@@ -106,6 +107,20 @@ _KEYS = {
 
 
 _UNHASHED = ("out_dir", "run_screen", "run_sobol")
+
+# (test, error) per rule a parsed config must meet; each is checked again by
+# its stage, but here it stops a run before any artifact is written
+_CHECKS = [
+    (lambda c: c.n_samples - c.n_burn >= 4, "n_samples - n_burn must be >= 4 (split R-hat)"),
+    (lambda c: c.chains >= 2, "chains must be >= 2 for the R-hat diagnostics"),
+    (lambda c: c.theta_design_size >= 20, "theta_design_size must be >= 20"),
+    (lambda c: c.seed >= 0, "seed must be >= 0"),
+    (lambda c: c.sobol_n_base >= 64 and (c.sobol_n_base & (c.sobol_n_base - 1)) == 0,
+     "sobol_n_base must be a power of two >= 64"),
+    (lambda c: c.screen_points >= 2, "screen_points must be >= 2"),
+    (lambda c: c.screen_threshold > 0, "screen_threshold must be > 0"),
+    (lambda c: len(set(c.modes)) == len(c.modes), "modes must not repeat"),
+]
 
 
 class PipelineConfig(SimpleNamespace):
@@ -174,10 +189,9 @@ def load_config(path, out_override=None, seed_override=None) -> PipelineConfig:
         cfg.calibration_ids = read_partition_file(cfg.partition_file)
     elif cfg.calibration_ids is None:
         raise ValueError("missing calibration_ids (or partition_file)")
-    if cfg.n_burn >= cfg.n_samples:
-        raise ValueError("n_burn must be < n_samples")
-    if cfg.chains < 2:
-        raise ValueError("chains must be >= 2 for the R-hat diagnostics")
+    for holds, msg in _CHECKS:
+        if not holds(cfg):
+            raise ValueError(msg)
     if not os.path.exists(cfg.dataset_path):
         raise ValueError(f"dataset file not found: {cfg.dataset_path}")
     cfg.input_digests = [  # SHA-256 of the dataset and partition files
@@ -263,14 +277,6 @@ def _gp_doc(fh):
     return doc.get("config_hash"), doc
 
 
-def _read_chain(path, n_burn: int) -> PosteriorChain:
-    arr = np.loadtxt(path, delimiter=",", skiprows=2, ndmin=2)  # hash, header
-    return PosteriorChain(
-        draws=arr[:, 1:-2], log_posterior_values=arr[:, -2],
-        accepted=arr[:, -1].astype(bool), scale_history=[], n_burn=n_burn,
-    )
-
-
 # ------------------------------------------------------------------- pipeline
 
 def run_pipeline(config_path, out_override=None, seed_override=None, stages=None) -> int:
@@ -322,8 +328,8 @@ def run_pipeline(config_path, out_override=None, seed_override=None, stages=None
         for rel, _ in artifacts:
             Path(out(rel)).unlink(missing_ok=True)
 
-    def read_chains(artifacts):
-        return [_read_chain(out(rel), cfg.n_burn) for rel, _ in artifacts]
+    def read_chain(artifacts):
+        return PosteriorChain.read_csv([out(rel) for rel, _ in artifacts], cfg.n_burn)
 
     with stage("ingest"):
         cases = ingest_csv(cfg.dataset_path)
@@ -384,7 +390,8 @@ def run_pipeline(config_path, out_override=None, seed_override=None, stages=None
                         + ([(f"{d}/validation_with_discrepancy.csv", 1 + n_val)]
                            if mode is CalibrationMode.WithDiscrepancy else []),
             "export": [(f"{d}/posterior_pairs.csv", 1 + cfg.chains * per_chain),
-                       (f"{d}/posterior_marginals.csv", 1 + 40 * len(PARAMETER_NAMES))],
+                       (f"{d}/posterior_marginals.csv",
+                        1 + MARGINAL_BINS * len(PARAMETER_NAMES))],
         }
     # per mode, every artifact made from its GPs: its chains and all later stages
     made = {mode: [a for group in mode_arts[mode].values() for a in group] for mode in cfg.modes}
@@ -410,7 +417,7 @@ def run_pipeline(config_path, out_override=None, seed_override=None, stages=None
     for mode in cfg.modes:
         d = mode.value
         os.makedirs(out(d), exist_ok=True)
-        arts, result, chains = mode_arts[mode], None, None
+        arts, result, chain = mode_arts[mode], None, None
         with stage("calibrate"):
             gp_md = gp_file(f"{d}/gp_md.json", lambda: build_gp_md(
                 partition, cases, code_model_arrays, restarts=cfg.gp_restarts,
@@ -421,14 +428,14 @@ def run_pipeline(config_path, out_override=None, seed_override=None, stages=None
                 result = calibrate(SurrogatePair(gp_cc=gp_cc(), gp_md=gp_md()), cases,
                                    partition, cfg.prior, cfg.n_samples, cfg.n_burn,
                                    cfg.chains, cfg.seed)
-                chains = result.chains
-                for (rel, _), chain in zip(arts["chains"], chains):
+                chain = result.chain
+                for k, (rel, _) in enumerate(arts["chains"]):
                     _replace(out(rel), lambda tmp: chain.to_csv(
-                        tmp, header_extra=_hash_line(cfg_hash)))
+                        tmp, k, header_extra=_hash_line(cfg_hash)))
             summaries = [whole(*a) for a in arts["summaries"]]  # diagnostics.txt last
             if None in summaries:
-                chains = chains or read_chains(arts["chains"])
-                result = result or summarize(chains)
+                chain = chain or read_chain(arts["chains"])
+                result = result or summarize(chain)
                 stats = ("mean", "std", "p2.5", "p50", "p97.5")
                 _write_csv(out(d, "posterior_summary.csv"), cfg_hash,
                            "parameter," + ",".join(stats),
@@ -450,8 +457,8 @@ def run_pipeline(config_path, out_override=None, seed_override=None, stages=None
 
         with stage("validate"):
             if "validate" in stages and stale(arts["validate"]):
-                chains = chains or read_chains(arts["chains"])
-                pooled = np.concatenate([c.post_burn for c in chains])
+                chain = chain or read_chain(arts["chains"])
+                pooled = chain.pooled
                 summary = propagate(code_model_arrays, val_cases, pooled,
                                     n_use=min(cfg.n_propagate, pooled.shape[0]))
                 report = rmse_report(summary, nominal_val(), val_cases)
@@ -479,17 +486,15 @@ def run_pipeline(config_path, out_override=None, seed_override=None, stages=None
 
         with stage("export"):
             if "export" in stages and stale(arts["export"]):
-                chains = chains or read_chains(arts["chains"])
-                pairs = [(k + 1, t, *th) for k, chain in enumerate(chains)
-                         for t, th in enumerate(
-                             chain.post_burn[:per_chain * cfg.thin:cfg.thin].tolist())]
+                chain = chain or read_chain(arts["chains"])
+                pairs = [(k + 1, t, *th) for k in range(cfg.chains) for t, th in enumerate(
+                    chain.post_burn[:per_chain * cfg.thin:cfg.thin, k].tolist())]
                 _write_csv(out(d, "posterior_pairs.csv"), cfg_hash,
                            "chain,step," + ",".join(PARAMETER_NAMES), pairs)
-                pooled = np.concatenate([c.post_burn for c in chains])
                 rows = []
-                for j, name in enumerate(PARAMETER_NAMES):
-                    counts, edges = np.histogram(pooled[:, j], bins=40)
-                    rows += [(name, edges[b], edges[b + 1], counts[b]) for b in range(40)]
+                for name, col in zip(PARAMETER_NAMES, chain.pooled.T):
+                    counts, edges = np.histogram(col, bins=MARGINAL_BINS)
+                    rows += zip([name] * MARGINAL_BINS, edges[:-1], edges[1:], counts)
                 _write_csv(out(d, "posterior_marginals.csv"), cfg_hash,
                            "parameter,bin_lo,bin_hi,count", rows)
 

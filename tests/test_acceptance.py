@@ -140,35 +140,35 @@ def test_a4_mcmc_oracle():
 
     def mh(target, d, cov, seeds):
         return adaptive_mh(target, np.zeros((len(seeds), d)), cov, n_samples=20000,
-                           n_burn=4000, seeds=seeds).chains
+                           n_burn=4000, seeds=seeds)
 
     # 1-D standard normal
     chains = mh(lambda th: -0.5 * th[:, 0] ** 2, 1, np.eye(1), range(4))
-    post = chains[0].post_burn[:, 0]
+    post = chains.post_burn[:, 0, 0]
     assert abs(post.mean()) <= 0.05, f"1-D mean {post.mean():.4f}"
     assert abs(post.var() - 1.0) <= 0.10, f"1-D var {post.var():.4f}"
     d = diagnostics(chains)
     assert d["rhat"][0] < 1.05, f"1-D rhat {d['rhat'][0]:.4f}"
-    for c in chains:
-        assert 0.10 <= c.acceptance_rate <= 0.45, c.acceptance_rate
+    for rate in chains.acceptance_rate:
+        assert 0.10 <= rate <= 0.45, rate
 
     # 2-D correlated Gaussian, rho = -0.7
     prec = np.linalg.inv(np.array([[1.0, -0.7], [-0.7, 1.0]]))
     target = lambda th: -0.5 * np.einsum("ki,ij,kj->k", th, prec, th)
     chains2 = mh(target, 2, 0.5 * np.eye(2), range(4))
-    pooled = np.concatenate([c.post_burn for c in chains2])
+    pooled = chains2.pooled
     assert np.all(np.abs(pooled.mean(axis=0)) <= 0.05)
     assert np.all(np.abs(pooled.var(axis=0) - 1.0) <= 0.10)
     corr = np.corrcoef(pooled.T)[0, 1]
     assert abs(corr + 0.7) <= 0.05, f"2-D corr {corr:.4f}"
     d2 = diagnostics(chains2)
     assert np.all(d2["rhat"] < 1.05)
-    for c in chains2:
-        assert 0.10 <= c.acceptance_rate <= 0.45
+    for rate in chains2.acceptance_rate:
+        assert 0.10 <= rate <= 0.45
 
     # bit-identical chains under fixed seed
-    a = mh(target, 2, 0.5 * np.eye(2), [9])[0]
-    b = mh(target, 2, 0.5 * np.eye(2), [9])[0]
+    a = mh(target, 2, 0.5 * np.eye(2), [9])
+    b = mh(target, 2, 0.5 * np.eye(2), [9])
     np.testing.assert_array_equal(a.draws, b.draws)
 
     elapsed = _budget(t0, 60, "A4")

@@ -254,7 +254,7 @@ def test_fused_log_posterior_keeps_mh_chain(setup, pair, mode):
     dense = _dense_log_posterior(mode_pair, lp)
     fused, ref = (adaptive_mh(f, np.ones((1, 4)), np.eye(4) * 0.06, n_samples=500,
                               n_burn=200, seeds=[12],
-                              support=(np.full(4, prior.lo), np.full(4, prior.hi))).chains[0]
+                              support=(np.full(4, prior.lo), np.full(4, prior.hi)))
                   for f in (lp, dense))
     assert fused.draws.tobytes() == ref.draws.tobytes()
     assert fused.accepted.tobytes() == ref.accepted.tobytes()
@@ -316,7 +316,7 @@ def test_calibrate_posterior_structure(setup, pair):
     )
     assert narrower >= 3
     for res in (res_w, res_n):
-        draws = np.concatenate([c.post_burn for c in res.chains])
+        draws = res.chain.pooled
         assert np.all(draws >= 0.05) and np.all(draws <= 5.0)
         for a in res.diagnostics["acceptance"]:
             assert 0.10 <= a <= 0.45

@@ -121,6 +121,14 @@ def test_load_config_validation(tmp_path, dataset):
         ("run_screen", "maybe", "boolean"),
         ("modes", "bogus_mode", "bogus_mode"),
         ("chains", "1", "chains"),
+        ("n_samples", "201", "n_samples - n_burn"),
+        ("n_samples", "203", "n_samples - n_burn"),
+        ("theta_design_size", "10", "theta_design_size"),
+        ("seed", "-1", "seed"),
+        ("sobol_n_base", "100", "sobol_n_base"),
+        ("screen_points", "1", "screen_points"),
+        ("screen_threshold", "0", "screen_threshold"),
+        ("modes", "no_discrepancy,no_discrepancy", "modes"),
     ]:
         path = write_config(tmp_path / "c.cfg", dataset, tmp_path / "out",
                             **{key: val})

@@ -1,8 +1,10 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from mbcal.cli import _hash_of, _read_chain
+from mbcal.cli import _hash_of
 from mbcal.mcmc import PosteriorChain, adaptive_mh, diagnostics
 
 
@@ -10,8 +12,17 @@ def std_normal(theta):
     return -0.5 * theta[:, 0] ** 2
 
 
+def chain_k(chain, k):
+    """Chain k of a run, with its own (n_samples, d) and (n_samples,) arrays."""
+    return SimpleNamespace(
+        draws=chain.draws[:, k], log_posterior_values=chain.log_posterior_values[:, k],
+        accepted=chain.accepted[:, k], scale_history=chain.scale_history[k],
+        post_burn=chain.post_burn[:, k], acceptance_rate=float(chain.acceptance_rate[k]),
+    )
+
+
 def one_chain(log_post, config):
-    return adaptive_mh(log_post, **config).chains[0]
+    return chain_k(adaptive_mh(log_post, **config), 0)
 
 
 def run(init, proposal_cov, n_samples, n_burn, seed, support=None):
@@ -149,9 +160,11 @@ def test_lockstep_chains_equal_single_chain_runs():
                            seeds=[20 + k for k in range(4)], support=box)
     assert lockstep.draws.shape == (600, 4, 2)
     assert sum(rows) - 4 < 4 * 600  # the initial call is not a proposal
+    assert lockstep.pooled.tobytes() == np.concatenate(
+        [chain_k(lockstep, k).post_burn for k in range(4)]).tobytes()
     for k in range(4):
         cfg = run(inits[k], 2 * np.eye(2), n_samples=600, n_burn=200, seed=20 + k, support=box)
-        alone, got = one_chain(logp, cfg), lockstep.chains[k]
+        alone, got = one_chain(logp, cfg), chain_k(lockstep, k)
         for name in ("draws", "log_posterior_values", "accepted"):
             assert getattr(got, name).tobytes() == getattr(alone, name).tobytes(), name
         assert got.scale_history == alone.scale_history
@@ -163,38 +176,46 @@ def test_lockstep_chains_equal_single_chain_runs():
 
 
 def test_diagnostics_well_mixed():
-    chains = adaptive_mh(std_normal, **config_1d(*range(4))).chains
-    d = diagnostics(chains)
+    d = diagnostics(adaptive_mh(std_normal, **config_1d(*range(4))))
     assert d["rhat"][0] < 1.05
     assert d["ess"][0] > 100
     assert len(d["acceptance"]) == 4
 
 
 def test_diagnostics_frozen_chains_infinite_rhat():
-    base = one_chain(std_normal, config_1d(7, n_samples=200, n_burn=50))
-    frozen1 = base.__class__(
-        draws=np.zeros_like(base.draws), log_posterior_values=base.log_posterior_values,
-        accepted=np.zeros_like(base.accepted), scale_history=[], n_burn=50,
+    base = adaptive_mh(std_normal, **config_1d(7, 8, n_samples=200, n_burn=50))
+    # chain 1 frozen at 0, chain 2 at 1
+    frozen = PosteriorChain(
+        draws=np.zeros_like(base.draws) + [[0.0], [1.0]],
+        log_posterior_values=base.log_posterior_values,
+        accepted=np.zeros_like(base.accepted), scale_history=[[], []], n_burn=50,
     )
-    frozen2 = base.__class__(
-        draws=np.ones_like(base.draws), log_posterior_values=base.log_posterior_values,
-        accepted=np.zeros_like(base.accepted), scale_history=[], n_burn=50,
-    )
-    d = diagnostics([frozen1, frozen2])
+    d = diagnostics(frozen)
     assert np.isinf(d["rhat"][0])
     assert d["acceptance"] == [0.0, 0.0]
 
 
 def test_diagnostics_needs_two_chains():
-    chain = one_chain(std_normal, config_1d(8, n_samples=200, n_burn=50))
+    chain = adaptive_mh(std_normal, **config_1d(8, n_samples=200, n_burn=50))
     with pytest.raises(ValueError, match="2 chains"):
-        diagnostics([chain])
+        diagnostics(chain)
+
+
+def test_diagnostics_needs_four_post_burn_draws():
+    # split R-hat halves each chain's post-burn-in draws; a half of fewer than
+    # 2 draws has no sample variance
+    for n_samples in (201, 203):
+        chain = adaptive_mh(std_normal, **config_1d(8, 9, n_samples=n_samples, n_burn=200))
+        with pytest.raises(ValueError, match="4 post-burn-in draws"):
+            diagnostics(chain)
+    chain = adaptive_mh(std_normal, **config_1d(8, 9, n_samples=204, n_burn=200))
+    assert np.isfinite(diagnostics(chain)["rhat"]).all()
 
 
 def test_chain_csv_roundtrip(tmp_path):
-    chain = one_chain(std_normal, config_1d(9, n_samples=300, n_burn=100))
+    chain = adaptive_mh(std_normal, **config_1d(9, n_samples=300, n_burn=100))
     path = tmp_path / "chain.csv"
-    chain.to_csv(path)
+    chain.to_csv(path, 0)
     lines = path.read_text().splitlines()
     assert lines[0] == "step,theta1,log_post,accepted"
     assert len(lines) == 301
@@ -215,14 +236,17 @@ def _to_csv_per_row(chain, path, header_extra=None):
 
 
 def _chain(draws, lps, acc, n_burn=0):
-    return PosteriorChain(draws=draws, log_posterior_values=lps, accepted=acc,
-                          scale_history=[], n_burn=n_burn)
+    """One chain from its (n_samples, d), (n_samples,) and (n_samples,) arrays."""
+    return PosteriorChain(draws=draws[:, None], log_posterior_values=lps[:, None],
+                          accepted=acc[:, None], scale_history=[[]], n_burn=n_burn)
 
 
 def test_chain_csv_matches_per_row_writer_and_reads_back(tmp_path):
     rng = np.random.default_rng(3)
-    mh = one_chain(lambda th: -0.5 * np.einsum("kd,kd->k", th, th),
-                   run(np.ones(4), np.eye(4), n_samples=400, n_burn=100, seed=4))
+    logp = lambda th: -0.5 * np.einsum("kd,kd->k", th, th)
+    mh = adaptive_mh(logp, **run(np.ones(4), np.eye(4), n_samples=400, n_burn=100, seed=4))
+    mh3 = adaptive_mh(logp, inits=np.ones((3, 4)) + [[0.0], [0.1], [-0.1]],
+                      proposal_cov=np.eye(4), n_samples=400, n_burn=100, seeds=[4, 5, 6])
     awkward = np.array([[0.1, -0.0, 1e-300, 5.0], [1 / 3, 2.0**-1074, 1e17, -2.5e-8]])
     cases = [
         (mh, {}),
@@ -230,17 +254,22 @@ def test_chain_csv_matches_per_row_writer_and_reads_back(tmp_path):
         (_chain(awkward, np.array([-1e-12, -123456.789]), np.array([False, True])), {}),
         (_chain(rng.random((1, 3)), np.array([-7.25]), np.array([True])),
          {"header_extra": "# config_hash=one-row\n"}),
+        (mh3, {"header_extra": "# config_hash=three\n"}),
     ]
     for i, (chain, kw) in enumerate(cases):
-        got, ref = tmp_path / f"fast_{i}.csv", tmp_path / f"ref_{i}.csv"
-        chain.to_csv(got, **kw)
-        _to_csv_per_row(chain, ref, **kw)
-        assert got.read_bytes() == ref.read_bytes()
+        paths = []
+        for k in range(chain.draws.shape[1]):
+            got, ref = tmp_path / f"fast_{i}_{k}.csv", tmp_path / f"ref_{i}_{k}.csv"
+            chain.to_csv(got, k, **kw)
+            _to_csv_per_row(chain_k(chain, k), ref, **kw)
+            assert got.read_bytes() == ref.read_bytes()
+            paths.append(got)
         if "header_extra" not in kw:
             continue
-        with open(got, "rb") as fh:
-            assert _hash_of(fh) == kw["header_extra"].strip().removeprefix("# config_hash=")
-        back = _read_chain(got, chain.n_burn)
+        for got in paths:
+            with open(got, "rb") as fh:
+                assert _hash_of(fh) == kw["header_extra"].strip().removeprefix("# config_hash=")
+        back = PosteriorChain.read_csv(paths, chain.n_burn)
         for name in ("draws", "log_posterior_values", "accepted"):
             a, b = getattr(back, name), getattr(chain, name)
             assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
